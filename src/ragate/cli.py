@@ -11,7 +11,7 @@ import sys
 
 import numpy as np
 
-from .config import ConfigError, RunConfig, build_schema, load_config, load_models, load_stores
+from .config import ConfigError, RunConfig, build_schema, check_threshold, load_config, load_models, load_stores
 from .core import DatasetError, QuestionRecord, answer_is_correct, load_dataset
 from .evalgate import (
     LengthMismatch,
@@ -248,6 +248,7 @@ def _write(path: str, text: str) -> None:
 
 def cmd_evaluate(args) -> int:
     config = load_config(args.config)
+    threshold = check_threshold(args.threshold) if args.threshold is not None else config.threshold
     gate = load_gate(args.model)
     records = load_dataset(args.dataset)
     ids, entries, matrix = read_features_tsv(args.features)
@@ -255,7 +256,6 @@ def cmd_evaluate(args) -> int:
     if names != tuple(gate.feature_names):
         raise SchemaMismatch("feature table columns do not match the model's training schema")
     X = _join_features(records, ids, matrix)
-    threshold = args.threshold if args.threshold is not None else config.threshold
     seed = args.seed if args.seed is not None else config.seed
 
     proba = gate.predict_proba(X)
@@ -330,6 +330,8 @@ def _parse_request(line: str, line_no: int):
         obj = json.loads(line)
     except json.JSONDecodeError as exc:
         raise ValueError(f"invalid JSON: {exc.msg}") from exc
+    except RecursionError:
+        raise ValueError("invalid JSON: nested too deeply") from None
     if not isinstance(obj, dict):
         raise ValueError("request must be an object")
     question = obj.get("question")
@@ -341,9 +343,14 @@ def _parse_request(line: str, line_no: int):
     overrides = obj.get("feature_overrides", {})
     if not isinstance(overrides, dict):
         raise ValueError("'feature_overrides' must be an object")
+    feature_overrides: dict[str, float] = {}
     for key, value in overrides.items():
         if isinstance(value, bool) or not isinstance(value, (int, float)):
             raise ValueError(f"override {key!r} must be a number")
+        try:
+            feature_overrides[str(key)] = float(value)
+        except OverflowError:
+            raise ValueError(f"override {key!r} is too large for a float") from None
     request_id = obj.get("id", f"line-{line_no}")
     return QuestionRecord(
         id=str(request_id),
@@ -352,17 +359,17 @@ def _parse_request(line: str, line_no: int):
         answer_without_retrieval="",
         answer_with_retrieval="",
         contexts=tuple(contexts),
-        feature_overrides={str(k): float(v) for k, v in overrides.items()},
+        feature_overrides=feature_overrides,
     )
 
 
 def cmd_serve(args) -> int:
     config = load_config(args.config)
+    threshold = check_threshold(args.threshold) if args.threshold is not None else config.threshold
     gate = load_gate(args.model)
     schema = FeatureSchema.from_entries(tuple(zip(gate.feature_names, gate.feature_groups)))
     stores = load_stores(config)
     models = load_models(config)
-    threshold = args.threshold if args.threshold is not None else config.threshold
 
     def _shutdown(signum, frame):
         raise KeyboardInterrupt

@@ -21,7 +21,7 @@ from .linker import build_gazetteer, load_entity_sidecar
 from .stores import load_store
 from .textclf import TextClfConfig, load_text_classifier, load_toy_corpus, train_text_classifier
 
-__all__ = ["ConfigError", "RunConfig", "load_config", "build_schema", "load_stores", "load_models"]
+__all__ = ["ConfigError", "RunConfig", "check_threshold", "load_config", "build_schema", "load_stores", "load_models"]
 
 BUILTIN_MODEL = "builtin"
 
@@ -81,6 +81,13 @@ def _resolve(base_dir: str, path: str, what: str) -> str:
     if not os.path.exists(resolved):
         raise ConfigError(f"{what} path does not exist: {resolved}")
     return resolved
+
+
+def check_threshold(threshold: float) -> float:
+    """The decision threshold itself; ConfigError unless it lies in [0, 1]."""
+    if not 0.0 <= threshold <= 1.0:
+        raise ConfigError(f"threshold must be in [0, 1], got {threshold}")
+    return threshold
 
 
 def load_config(path) -> RunConfig:
@@ -146,9 +153,7 @@ def load_config(path) -> RunConfig:
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"cost_model is invalid: {exc}") from exc
 
-    threshold = float(raw.get("threshold", 0.5))
-    if not 0.0 <= threshold <= 1.0:
-        raise ConfigError(f"threshold must be in [0, 1], got {threshold}")
+    threshold = check_threshold(float(raw.get("threshold", 0.5)))
 
     return RunConfig(
         store_paths=store_paths,

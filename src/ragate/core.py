@@ -198,9 +198,13 @@ def _parse_record(obj: dict, line_no: int) -> QuestionRecord:
     for key, value in overrides.items():
         if not isinstance(key, str) or isinstance(value, bool) or not isinstance(value, (int, float)):
             raise MalformedRecord(line_no, "feature_overrides must map names to numbers")
-        if not math.isfinite(float(value)):
+        try:
+            number = float(value)
+        except OverflowError:
+            raise MalformedRecord(line_no, f"override {key!r} is too large for a float") from None
+        if not math.isfinite(number):
             raise MalformedRecord(line_no, f"override {key!r} is not finite")
-        clean_overrides[key] = float(value)
+        clean_overrides[key] = number
     return QuestionRecord(
         id=obj["id"],
         question=obj["question"],
@@ -231,6 +235,8 @@ def load_dataset(path) -> list[QuestionRecord]:
                 obj = json.loads(line)
             except json.JSONDecodeError as exc:
                 raise MalformedRecord(line_no, f"invalid JSON: {exc.msg}") from exc
+            except RecursionError:
+                raise MalformedRecord(line_no, "invalid JSON: nested too deeply") from None
             record = _parse_record(obj, line_no)
             if record.id in seen:
                 raise DuplicateId(record.id)

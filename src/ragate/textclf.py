@@ -4,6 +4,16 @@ Question-type and question-complexity signals come from multinomial
 logistic regression over hashed unigram+bigram counts; context relevance
 comes from a token-overlap F1. No pretrained models, no subword
 tokenization, and fully deterministic given a seed.
+
+A text hashes to a handful of the ``dim`` (65,536 by default) columns, and
+a corpus to a few hundred. A classifier therefore keeps only the sorted
+columns that carry weight and a (columns x classes) weight block; training
+runs on the corpus's columns alone, and scoring looks up the question's
+columns in that block and sums their terms in ascending column order, the
+order of a sparse-by-dense product over all ``dim`` columns, so the
+probabilities equal those of the ``dim``-wide model bit for bit. The JSON
+artifact lists the same columns, one ``"column": [weight per class]`` entry
+each.
 """
 
 from __future__ import annotations
@@ -52,26 +62,37 @@ def _hash_index(key: str, dim: int) -> int:
     return zlib.crc32(key.encode("utf-8")) % dim
 
 
-def featurize(text: str, dim: int) -> sparse.csr_matrix:
-    """Hashed unigram+bigram count vector, shape (1, dim)."""
+def hashed_counts(text: str, dim: int) -> Counter:
+    """``{column: count}`` of the hashed unigrams and bigrams of ``text``."""
     tokens = tokenize(text)
     counts: Counter = Counter()
     for tok in tokens:
         counts[_hash_index(tok, dim)] += 1.0
     for a, b in zip(tokens, tokens[1:]):
         counts[_hash_index(a + _BIGRAM_SEP + b, dim)] += 1.0
-    if not counts:
-        return sparse.csr_matrix((1, dim))
-    cols = np.fromiter(counts.keys(), dtype=np.int64)
-    vals = np.fromiter(counts.values(), dtype=np.float64)
-    rows = np.zeros_like(cols)
-    return sparse.csr_matrix((vals, (rows, cols)), shape=(1, dim))
+    return counts
 
 
 def featurize_many(texts: list[str], dim: int) -> sparse.csr_matrix:
-    if not texts:
-        return sparse.csr_matrix((0, dim))
-    return sparse.vstack([featurize(t, dim) for t in texts], format="csr")
+    """Hashed unigram+bigram count rows, shape (len(texts), dim), columns ascending."""
+    indptr = [0]
+    indices: list[int] = []
+    data: list[float] = []
+    for text in texts:
+        counts = hashed_counts(text, dim)
+        for col in sorted(counts):
+            indices.append(col)
+            data.append(counts[col])
+        indptr.append(len(indices))
+    return sparse.csr_matrix(
+        (np.array(data, dtype=np.float64), np.array(indices, dtype=np.int64), np.array(indptr, dtype=np.int64)),
+        shape=(len(texts), dim),
+    )
+
+
+def featurize(text: str, dim: int) -> sparse.csr_matrix:
+    """Hashed unigram+bigram count vector, shape (1, dim)."""
+    return featurize_many([text], dim)
 
 
 def _softmax(logits: np.ndarray) -> np.ndarray:
@@ -102,18 +123,38 @@ def softmax_loss_and_grad(weights: np.ndarray, bias: np.ndarray, X, labels: np.n
 
 @dataclass
 class TextClassifier:
-    """Multinomial logistic regression over hashed text features."""
+    """Multinomial logistic regression over hashed text features.
+
+    Only the hashed columns that carry weight are stored: ``columns`` holds
+    them in ascending order and row ``i`` of ``weights`` (columns x classes)
+    holds the class weights of ``columns[i]``. Every other column of the
+    ``dim``-wide feature space has zero weight.
+    """
 
     class_names: tuple[str, ...]
     dim: int
+    columns: np.ndarray
     weights: np.ndarray
     bias: np.ndarray
     training_meta: dict = field(default_factory=dict)
+    _row: dict = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        keep = np.any(self.weights != 0.0, axis=1)
+        self.columns = np.asarray(self.columns, dtype=np.int64)[keep]
+        self.weights = np.ascontiguousarray(self.weights[keep], dtype=np.float64)
+        self._row = {int(col): i for i, col in enumerate(self.columns)}
 
     def predict_proba(self, text: str) -> np.ndarray:
         """Class probabilities in ``class_names`` order; sums to 1."""
-        x = featurize(text, self.dim)
-        logits = np.asarray(x @ self.weights.T) + self.bias
+        counts = hashed_counts(text, self.dim)
+        hits = sorted(col for col in counts if col in self._row)
+        # Row 0 stays zero; accumulating from it in ascending column order
+        # adds the terms exactly as the sparse-by-dense product would.
+        terms = np.zeros((len(hits) + 1, len(self.class_names)))
+        scale = np.array([counts[col] for col in hits])
+        terms[1:] = scale[:, None] * self.weights[[self._row[col] for col in hits]]
+        logits = np.add.accumulate(terms)[-1:] + self.bias
         return _softmax(logits)[0]
 
     def predict(self, text: str) -> str:
@@ -126,6 +167,9 @@ def train_text_classifier(corpus: list[tuple[str, str]], config: TextClfConfig =
     Deterministic for a fixed config: the same corpus and seed produce
     byte-identical weights. Class names are the sorted distinct labels.
     Raises DegenerateCorpus when fewer than two labels are present.
+
+    The descent runs on the columns the corpus hashes to; every other
+    column has zero gradient throughout and so keeps zero weight.
     """
     if not corpus:
         raise DegenerateCorpus("empty corpus")
@@ -134,11 +178,13 @@ def train_text_classifier(corpus: list[tuple[str, str]], config: TextClfConfig =
         raise DegenerateCorpus(f"need at least 2 distinct labels, got {class_names}")
     class_index = {name: i for i, name in enumerate(class_names)}
     X = featurize_many([text for text, _ in corpus], config.dim)
-    y = np.array([class_index[label] for _, label in corpus], dtype=np.int64)
+    columns, compact = np.unique(X.indices, return_inverse=True)
     n = X.shape[0]
+    X = sparse.csr_matrix((X.data, compact, X.indptr), shape=(n, len(columns)))
+    y = np.array([class_index[label] for _, label in corpus], dtype=np.int64)
 
     rng = np.random.default_rng(config.seed)
-    weights = np.zeros((len(class_names), config.dim))
+    weights = np.zeros((len(class_names), len(columns)))
     bias = np.zeros(len(class_names))
     batch = max(1, min(config.batch_size, n))
     loss_history: list[float] = []
@@ -159,7 +205,9 @@ def train_text_classifier(corpus: list[tuple[str, str]], config: TextClfConfig =
         "batch_size": batch,
         "loss_history": loss_history,
     }
-    return TextClassifier(class_names=class_names, dim=config.dim, weights=weights, bias=bias, training_meta=meta)
+    return TextClassifier(
+        class_names=class_names, dim=config.dim, columns=columns, weights=weights.T, bias=bias, training_meta=meta
+    )
 
 
 def relevance_score(question: str, context: str) -> float:
@@ -183,13 +231,12 @@ def relevance_score(question: str, context: str) -> float:
 
 
 def classifier_to_dict(model: TextClassifier) -> dict:
-    nonzero_cols = np.flatnonzero(np.any(model.weights != 0.0, axis=0))
     return {
         "kind": "text-classifier",
         "dim": model.dim,
         "class_names": list(model.class_names),
         "bias": [float(v) for v in model.bias],
-        "weights": {str(int(c)): [float(v) for v in model.weights[:, c]] for c in nonzero_cols},
+        "weights": {str(int(c)): [float(v) for v in row] for c, row in zip(model.columns, model.weights)},
         "training_meta": model.training_meta,
     }
 
@@ -208,18 +255,21 @@ def classifier_from_dict(obj: dict) -> TextClassifier:
     bias = np.array(obj["bias"], dtype=np.float64)
     if bias.shape != (len(class_names),):
         raise ValueError("bias length does not match class_names")
-    weights = np.zeros((len(class_names), dim))
-    for col_text, column in obj["weights"].items():
-        col = int(col_text)
+    weight_columns = sorted(
+        ((int(col_text), column) for col_text, column in obj["weights"].items()), key=lambda item: item[0]
+    )
+    for i, (col, column) in enumerate(weight_columns):
         if not 0 <= col < dim:
             raise ValueError(f"weight column {col} outside declared dimension {dim}")
+        if i and col == weight_columns[i - 1][0]:
+            raise ValueError(f"weight column {col} given twice")
         if len(column) != len(class_names):
             raise ValueError(f"weight column {col} does not match class count")
-        weights[:, col] = column
     return TextClassifier(
         class_names=class_names,
         dim=dim,
-        weights=weights,
+        columns=np.array([col for col, _ in weight_columns], dtype=np.int64),
+        weights=np.array([column for _, column in weight_columns], dtype=np.float64).reshape(-1, len(class_names)),
         bias=bias,
         training_meta=obj.get("training_meta", {}),
     )

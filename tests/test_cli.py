@@ -218,6 +218,22 @@ class TestExtract:
         assert rc == 1
         assert "/no/such.jsonl" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "line",
+        [
+            '{"id": "q", "question": "q", "gold_answers": ["g"], "answer_without_retrieval": "a", '
+            '"answer_with_retrieval": "b", "feature_overrides": {"popularity_min": 1' + "0" * 400 + "}}",
+            "[" * 100_000,
+        ],
+        ids=["oversized-override", "deep-nesting"],
+    )
+    def test_hostile_record_fails_cleanly(self, world, tmp_path, capsys, line):
+        dataset = tmp_path / "train.jsonl"
+        dataset.write_text(line + "\n", encoding="utf-8")
+        rc = main(["extract", "--config", world["config"], "--dataset", str(dataset), "--out", str(tmp_path)])
+        assert rc == 1
+        assert capsys.readouterr().err.startswith("error: line 1: ")
+
 
 class TestTrain:
     def test_artifacts_exist(self, world):
@@ -379,6 +395,19 @@ class TestEvaluate:
         assert "schema" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["evaluate", "serve"])
+@pytest.mark.parametrize("value", ["7", "-0.1", "nan"])
+def test_threshold_flag_out_of_range(world, tmp_path, monkeypatch, capsys, command, value):
+    monkeypatch.setattr("sys.stdin", io.StringIO('{"question": "who founded paris"}\n'))
+    args = ["--config", world["config"], "--model", world["model"], "--threshold", value]
+    if command == "evaluate":
+        args += ["--dataset", world["dataset"], "--features", world["features"], "--out", str(tmp_path)]
+    assert main([command, *args]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"error: threshold must be in [0, 1], got {float(value)}\n"
+    assert captured.out == ""
+
+
 class TestServe:
     def _serve(self, world, payload, monkeypatch, capsys, extra=()):
         monkeypatch.setattr("sys.stdin", io.StringIO(payload))
@@ -417,6 +446,22 @@ class TestServe:
         assert "question" in responses[1]["error"]["reason"]
         assert "object" in responses[2]["error"]["reason"]
         assert "number" in responses[3]["error"]["reason"]
+
+    def test_hostile_lines_do_not_stop_serving(self, world, monkeypatch, capsys):
+        huge = "1" + "0" * 400  # an integer no float can hold
+        payload = (
+            '{"id": "a", "question": "what is the capital of zork"}\n'
+            '{"id": "x", "question": "q", "feature_overrides": {"popularity_min": ' + huge + "}}\n"
+            + "[" * 100_000 + "\n"
+            '{"id": "b", "question": "what is the capital of london"}\n'
+        )
+        responses = self._serve(world, payload, monkeypatch, capsys)
+        assert len(responses) == 4
+        assert [responses[0]["id"], responses[3]["id"]] == ["a", "b"]
+        assert responses[1]["error"]["line"] == 2
+        assert "popularity_min" in responses[1]["error"]["reason"]
+        assert responses[2]["error"]["line"] == 3
+        assert "invalid JSON" in responses[2]["error"]["reason"]
 
     def test_override_enters_the_vector(self, world, monkeypatch, capsys):
         payload = '{"question": "who founded paris", "feature_overrides": {"context_relevance_max": 0.5}}\n'

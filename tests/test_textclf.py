@@ -2,7 +2,7 @@ import json
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ragate.textclf import (
@@ -12,6 +12,7 @@ from ragate.textclf import (
     classifier_to_dict,
     featurize,
     featurize_many,
+    hashed_counts,
     load_text_classifier,
     load_toy_corpus,
     relevance_score,
@@ -213,3 +214,106 @@ class TestToyCorpora:
     def test_unknown_name(self):
         with pytest.raises(ValueError):
             load_toy_corpus("sentiment")
+
+
+# ---------------------------------------------------------------------------
+# The compact column layout against a dense (classes x dim) reference
+# ---------------------------------------------------------------------------
+
+
+def _dense_softmax(x, weights, bias):
+    logits = np.asarray(x @ weights.T) + bias
+    shifted = logits - logits.max(axis=1, keepdims=True)
+    exp = np.exp(shifted)
+    return (exp / exp.sum(axis=1, keepdims=True))[0]
+
+
+def _dense_reference_dict(corpus, config):
+    """The artifact of plain gradient descent on all ``dim`` columns."""
+    class_names = tuple(sorted({label for _, label in corpus}))
+    class_index = {name: i for i, name in enumerate(class_names)}
+    X = featurize_many([text for text, _ in corpus], config.dim)
+    y = np.array([class_index[label] for _, label in corpus], dtype=np.int64)
+    n = X.shape[0]
+    rng = np.random.default_rng(config.seed)
+    weights = np.zeros((len(class_names), config.dim))
+    bias = np.zeros(len(class_names))
+    batch = max(1, min(config.batch_size, n))
+    loss_history = []
+    for _ in range(config.epochs):
+        order = rng.permutation(n) if batch < n else np.arange(n)
+        for lo in range(0, n, batch):
+            idx = order[lo : lo + batch]
+            _, grad_w, grad_b = softmax_loss_and_grad(weights, bias, X[idx], y[idx])
+            weights -= config.learning_rate * grad_w
+            bias -= config.learning_rate * grad_b
+        loss_history.append(float(softmax_loss_and_grad(weights, bias, X, y)[0]))
+    nonzero_cols = np.flatnonzero(np.any(weights != 0.0, axis=0))
+    return {
+        "kind": "text-classifier",
+        "dim": config.dim,
+        "class_names": list(class_names),
+        "bias": [float(v) for v in bias],
+        "weights": {str(int(c)): [float(v) for v in weights[:, c]] for c in nonzero_cols},
+        "training_meta": {
+            "seed": config.seed,
+            "epochs": config.epochs,
+            "learning_rate": config.learning_rate,
+            "batch_size": batch,
+            "loss_history": loss_history,
+        },
+    }
+
+
+@pytest.fixture(scope="module")
+def dense_builtins(toy_models):
+    """Each builtin model with its weights scattered into a (classes x dim) array."""
+    dense = []
+    for model in (toy_models.qtype, toy_models.complexity):
+        weights = np.zeros((len(model.class_names), model.dim))
+        weights[:, model.columns] = model.weights.T
+        dense.append((model, weights))
+    return dense
+
+
+_WORDS = [
+    "how", "many", "who", "what", "which", "is", "the", "of", "and", "or", "than", "more",
+    "first", "largest", "river", "city", "born", "wrote", "did", "does", "zqxv", "blorpt",
+]
+
+_UNSEEN = "zqxv blorpt wuffle"
+
+
+class TestCompactLayout:
+    def test_holds_only_weighted_columns(self, toy_models):
+        for model in (toy_models.qtype, toy_models.complexity):
+            assert model.weights.shape == (len(model.columns), len(model.class_names))
+            assert np.all(np.diff(model.columns) > 0)
+            assert np.all(np.any(model.weights != 0.0, axis=1))
+
+    def test_unseen_probe_misses_every_column(self, toy_models):
+        for model in (toy_models.qtype, toy_models.complexity):
+            assert not set(hashed_counts(_UNSEEN, model.dim)) & set(model.columns.tolist())
+
+    @given(st.one_of(st.text(max_size=60), st.lists(st.sampled_from(_WORDS), max_size=12).map(" ".join)))
+    @example("")
+    @example(_UNSEEN)
+    @settings(max_examples=150, deadline=None)
+    def test_predict_proba_is_the_dense_product(self, dense_builtins, text):
+        for model, weights in dense_builtins:
+            expected = _dense_softmax(featurize(text, model.dim), weights, model.bias)
+            assert np.array_equal(model.predict_proba(text), expected)
+
+    @pytest.mark.parametrize("name", ["qtype", "complexity"])
+    def test_builtin_artifact_matches_dense_training(self, name):
+        config = TextClfConfig(seed=0)
+        corpus = load_toy_corpus(name)
+        compact = classifier_to_dict(train_text_classifier(corpus, config))
+        assert json.dumps(compact, sort_keys=True) == json.dumps(_dense_reference_dict(corpus, config), sort_keys=True)
+
+    def test_rejects_a_column_given_twice(self):
+        obj = classifier_to_dict(train_text_classifier(SEPARABLE, SMALL))
+        col, column = next(iter(obj["weights"].items()))
+        obj["weights"]["0" + col] = column
+        with pytest.raises(ValueError):
+            classifier_from_dict(obj)
