@@ -299,9 +299,9 @@ def cmd_evaluate(args) -> int:
         f"- dataset: {args.dataset} ({len(records)} records, sha256 {meta['dataset']['sha256'][:12]})",
         f"- model: {args.model} (sha256 {meta['model']['sha256'][:12]})",
         f"- features: {len(names)} columns",
-        "",
     ]
-    _write(os.path.join(out, "report.md"), "\n".join(md_header) + render_report(reports, "markdown"))
+    # A blank line ends the list, so Markdown renders the table as a table.
+    _write(os.path.join(out, "report.md"), "\n".join(md_header) + "\n\n" + render_report(reports, "markdown"))
     _write(os.path.join(out, "report.csv"), render_report(reports, "csv"))
 
     order = np.argsort(-importance, kind="stable")

@@ -90,51 +90,96 @@ def check_threshold(threshold: float) -> float:
     return threshold
 
 
+def _mapping(section: dict, key: str) -> dict:
+    """``section[key]`` as a mapping; absent or null gives {}."""
+    value = section.get(key)
+    if value is None:
+        return {}
+    if not isinstance(value, dict):
+        raise ConfigError(f"{key} must be a mapping, got {type(value).__name__}")
+    return value
+
+
+def _string_list(section: dict, key: str, default: tuple) -> tuple[str, ...]:
+    value = section.get(key, default)
+    if not isinstance(value, (list, tuple)) or not all(isinstance(v, str) for v in value):
+        raise ConfigError(f"{key} must be a list of strings")
+    return tuple(value)
+
+
+def _path_string(value, what: str) -> str:
+    if not isinstance(value, str):
+        raise ConfigError(f"{what} must be a path string, got {type(value).__name__}")
+    return value
+
+
+def _number(section: dict, key: str, default, kind):
+    """``kind(section[key])`` (int or float); ConfigError if it does not convert."""
+    try:
+        return kind(section.get(key, default))
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ConfigError(f"{key} is invalid: {exc}") from exc
+
+
 def load_config(path) -> RunConfig:
     """Parse + validate a YAML run config; relative paths anchor at the file."""
     if not os.path.exists(path):
         raise ConfigError(f"config file does not exist: {path}")
-    with open(path, encoding="utf-8") as fh:
-        raw = yaml.safe_load(fh) or {}
+    try:
+        with open(path, encoding="utf-8") as fh:
+            raw = yaml.safe_load(fh) or {}
+    except (yaml.YAMLError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"config is not valid YAML: {exc}") from exc
+    except RecursionError:
+        raise ConfigError("config is not valid YAML: nested too deeply") from None
     if not isinstance(raw, dict):
         raise ConfigError("config must be a mapping")
     unknown = set(raw) - _TOP_LEVEL_KEYS
     if unknown:
-        raise ConfigError(f"unknown config keys: {sorted(unknown)}")
+        raise ConfigError(f"unknown config keys: {sorted(unknown, key=str)}")
     base_dir = os.path.dirname(os.path.abspath(path))
 
+    def resolve(value, what):
+        return _resolve(base_dir, _path_string(value, what), what)
+
     store_paths = {}
-    for kind, p in (raw.get("stores") or {}).items():
+    for kind, p in _mapping(raw, "stores").items():
         if kind not in _STORE_KINDS:
             raise ConfigError(f"unknown store kind {kind!r}; expected one of {_STORE_KINDS}")
-        store_paths[kind] = _resolve(base_dir, p, f"{kind} store")
+        store_paths[kind] = resolve(p, f"{kind} store")
 
     gazetteer = raw.get("gazetteer")
     sidecar = raw.get("sidecar")
-    models = raw.get("models") or {}
+    models = _mapping(raw, "models")
     unknown_models = set(models) - {"qtype", "complexity"}
     if unknown_models:
-        raise ConfigError(f"unknown model entries: {sorted(unknown_models)}")
+        raise ConfigError(f"unknown model entries: {sorted(unknown_models, key=str)}")
 
     def model_path(name):
         value = models.get(name)
         if value is None or value == BUILTIN_MODEL:
             return value
-        return _resolve(base_dir, value, f"{name} model")
+        return resolve(value, f"{name} model")
 
-    feats = raw.get("features") or {}
+    feats = _mapping(raw, "features")
     unknown_feats = set(feats) - _FEATURE_KEYS
     if unknown_feats:
-        raise ConfigError(f"unknown feature options: {sorted(unknown_feats)}")
-    groups = feats.get("groups")
-    if groups is not None:
+        raise ConfigError(f"unknown feature options: {sorted(unknown_feats, key=str)}")
+    include_context_length = feats.get("include_context_length", True)
+    if not isinstance(include_context_length, bool):
+        raise ConfigError(f"include_context_length must be true or false, got {include_context_length!r}")
+    groups = None
+    if feats.get("groups") is not None:
+        groups = _string_list(feats, "groups", ())
         bad = [g for g in groups if g not in FEATURE_GROUPS]
         if bad:
             raise ConfigError(f"unknown feature groups: {bad}")
-        groups = tuple(groups)
 
+    raw_references = raw.get("references") or []
+    if not isinstance(raw_references, list):
+        raise ConfigError(f"references must be a list, got {type(raw_references).__name__}")
     references = []
-    for i, row in enumerate(raw.get("references") or []):
+    for i, row in enumerate(raw_references):
         try:
             references.append(
                 RunReport(
@@ -145,35 +190,44 @@ def load_config(path) -> RunConfig:
                     mean_pflops=float(row["mean_pflops"]),
                 )
             )
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise ConfigError(f"references[{i}] is invalid: {exc}") from exc
 
+    cost_raw = _mapping(raw, "cost_model")
+    unknown_costs = set(cost_raw) - {"default", "methods"}
+    if unknown_costs:
+        raise ConfigError(f"unknown cost_model entries: {sorted(unknown_costs, key=str)}")
+    for key in ("default", "methods"):
+        _mapping(cost_raw, key)
     try:
-        cost_model = CostModel.from_config(raw.get("cost_model"))
+        cost_model = CostModel.from_config(cost_raw)
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"cost_model is invalid: {exc}") from exc
 
-    threshold = check_threshold(float(raw.get("threshold", 0.5)))
+    threshold = check_threshold(_number(raw, "threshold", 0.5, float))
+    out_dir = raw.get("out_dir")
+    if out_dir is not None:
+        _path_string(out_dir, "out_dir")
 
     return RunConfig(
         store_paths=store_paths,
-        gazetteer_path=_resolve(base_dir, gazetteer, "gazetteer") if gazetteer else None,
-        sidecar_path=_resolve(base_dir, sidecar, "sidecar") if sidecar else None,
+        gazetteer_path=resolve(gazetteer, "gazetteer") if gazetteer else None,
+        sidecar_path=resolve(sidecar, "sidecar") if sidecar else None,
         qtype_model=model_path("qtype"),
         complexity_model=model_path("complexity"),
         feature_groups=groups,
-        include_context_length=bool(feats.get("include_context_length", True)),
-        knowledgability_aggregates=tuple(feats.get("knowledgability_aggregates", ("mean",))),
-        override_features=tuple(feats.get("override_features", ())),
-        context_norm=float(feats.get("context_norm", DEFAULT_CONTEXT_NORM)),
-        grids_path=_resolve(base_dir, raw["grids"], "grids") if raw.get("grids") else None,
+        include_context_length=include_context_length,
+        knowledgability_aggregates=_string_list(feats, "knowledgability_aggregates", ("mean",)),
+        override_features=_string_list(feats, "override_features", ()),
+        context_norm=_number(feats, "context_norm", DEFAULT_CONTEXT_NORM, float),
+        grids_path=resolve(raw["grids"], "grids") if raw.get("grids") else None,
         cost_model=cost_model,
         references=tuple(references),
-        seed=int(raw.get("seed", 0)),
+        seed=_number(raw, "seed", 0, int),
         threshold=threshold,
-        val_size=int(raw.get("val_size", 100)),
-        importance_repeats=int(raw.get("importance_repeats", 20)),
-        out_dir=raw.get("out_dir"),
+        val_size=_number(raw, "val_size", 100, int),
+        importance_repeats=_number(raw, "importance_repeats", 20, int),
+        out_dir=out_dir,
     )
 
 

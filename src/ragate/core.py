@@ -235,6 +235,8 @@ def load_dataset(path) -> list[QuestionRecord]:
                 obj = json.loads(line)
             except json.JSONDecodeError as exc:
                 raise MalformedRecord(line_no, f"invalid JSON: {exc.msg}") from exc
+            except ValueError as exc:  # an integer literal past Python's digit limit
+                raise MalformedRecord(line_no, f"invalid JSON: {exc}") from exc
             except RecursionError:
                 raise MalformedRecord(line_no, "invalid JSON: nested too deeply") from None
             record = _parse_record(obj, line_no)

@@ -65,6 +65,16 @@ class ModelSpec:
             raise InvalidHyperparameter(f"unknown family {self.family!r}")
 
 
+def _sigmoid(z: np.ndarray) -> np.ndarray:
+    """Logistic function, evaluated on the side of 0 where exp cannot overflow."""
+    out = np.empty_like(z)
+    pos = z >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
+    ez = np.exp(z[~pos])
+    out[~pos] = ez / (1.0 + ez)
+    return out
+
+
 def check_two_classes(y: np.ndarray, family: str) -> None:
     if np.unique(y).size < 2:
         raise DegenerateData(f"{family} needs both classes present in y")

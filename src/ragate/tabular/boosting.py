@@ -4,19 +4,10 @@ from __future__ import annotations
 
 import numpy as np
 
-from .base import InvalidHyperparameter, check_two_classes
+from .base import InvalidHyperparameter, _sigmoid, check_two_classes
 from .trees import grow_tree, tree_from_dict, tree_predict, tree_to_dict
 
 _LEAF_EPS = 1e-12
-
-
-def _sigmoid(z: np.ndarray) -> np.ndarray:
-    out = np.empty_like(z)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
-    return out
 
 
 def logistic_loss(raw: np.ndarray, y: np.ndarray) -> float:

@@ -10,18 +10,9 @@ from __future__ import annotations
 import numpy as np
 from scipy import optimize
 
-from .base import InvalidHyperparameter, check_two_classes, resolve_sample_weights
+from .base import InvalidHyperparameter, _sigmoid, check_two_classes, resolve_sample_weights
 
 _SOLVERS = ("lbfgs", "liblinear")
-
-
-def _sigmoid(z: np.ndarray) -> np.ndarray:
-    out = np.empty_like(z)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
-    return out
 
 
 def loss_and_grad(params: np.ndarray, X: np.ndarray, y_pm: np.ndarray, C: float, sample_weight: np.ndarray):

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .base import DegenerateData, InvalidHyperparameter, check_two_classes
+from .base import DegenerateData, InvalidHyperparameter, _sigmoid, check_two_classes
 
 _ACTIVATIONS = ("relu", "tanh")
 _SOLVERS = ("adam", "sgd")
@@ -52,15 +52,6 @@ def _act_deriv_from_output(a: np.ndarray, activation: str) -> np.ndarray:
     if activation == "relu":
         return (a > 0.0).astype(np.float64)
     return 1.0 - a * a
-
-
-def _sigmoid(z: np.ndarray) -> np.ndarray:
-    out = np.empty_like(z)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
-    return out
 
 
 def forward_logits(flat: np.ndarray, shapes, X: np.ndarray, activation: str) -> np.ndarray:

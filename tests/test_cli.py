@@ -1,13 +1,18 @@
 """Command-line pipeline: ingest -> extract -> train -> evaluate -> serve."""
 
 import io
+import itertools
 import json
 import os
 
 import numpy as np
 import pytest
+import yaml
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
-from ragate.cli import main, read_features_tsv, write_features_tsv
+from ragate.cli import _parse_request, main, read_features_tsv, write_features_tsv
+from ragate.config import _TOP_LEVEL_KEYS, ConfigError, load_config
 from ragate.features import default_schema
 
 RARE = [("Q1", "zork"), ("Q2", "quux blim"), ("Q3", "vexal"), ("Q4", "prindle vast")]
@@ -287,6 +292,13 @@ class TestEvaluate:
              "--features", world["features"], "--model", world["model"], "--out", str(out), *extra]
         )
 
+    def test_report_md_table_follows_a_blank_line(self, world, tmp_path, capsys):
+        assert self._run(world, tmp_path) == 0
+        lines = (tmp_path / "report.md").read_text(encoding="utf-8").splitlines()
+        table = lines.index("| Method | InAcc (%) | LMC | RC | PFLOPs/question |")
+        assert lines[table - 1] == ""
+        assert lines[table - 2].startswith("- features: ")
+
     def test_emits_reports_and_analyses(self, world, tmp_path, capsys):
         assert self._run(world, tmp_path) == 0
         stdout = capsys.readouterr().out
@@ -488,3 +500,90 @@ class TestServe:
         (first,) = self._serve(world, payload, monkeypatch, capsys)
         (second,) = self._serve(world, payload, monkeypatch, capsys)
         assert first == second
+
+
+# ---------------------------------------------------------------------------
+# Config shapes and parser fuzzing
+# ---------------------------------------------------------------------------
+
+JSON_VALUES = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.integers(min_value=10**308, max_value=10**320)
+    | st.floats()
+    | st.text(max_size=8),
+    lambda children: st.lists(children, max_size=4) | st.dictionaries(st.text(max_size=8), children, max_size=4),
+    max_leaves=12,
+)
+
+
+@pytest.mark.parametrize(
+    "body, expected",
+    [
+        ("stores: [a]", "stores must be a mapping, got list"),
+        ("models: [qtype]", "models must be a mapping, got list"),
+        ("cost_model: [1]", "cost_model must be a mapping, got list"),
+        ("cost_model: {methods: [1]}", "methods must be a mapping, got list"),
+        ("cost_model: {methds: {}}", "unknown cost_model entries: ['methds']"),
+        ("features: {include_context_length: 'no'}", "include_context_length must be true or false"),
+        ("features: 5", "features must be a mapping, got int"),
+        ("features: {groups: 5}", "groups must be a list of strings"),
+        ("features: {override_features: 5}", "override_features must be a list of strings"),
+        ("references: 3", "references must be a list, got int"),
+        ("threshold: [1]", "threshold is invalid"),
+        ("seed: .inf", "seed is invalid"),
+        ("gazetteer: 5", "gazetteer must be a path string, got int"),
+        ("stores: {triples: 5}", "triples store must be a path string, got int"),
+        ("out_dir: [1]", "out_dir must be a path string, got list"),
+        ("{1: a, b: c}", "unknown config keys: [1, 'b']"),
+        ("models: {[a]: 1}", "config is not valid YAML"),
+    ],
+)
+def test_config_shape_errors_exit_cleanly(tmp_path, capsys, body, expected):
+    config = tmp_path / "config.yaml"
+    config.write_text(body + "\n", encoding="utf-8")
+    assert main(["ingest", "--config", str(config)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ")
+    assert expected in captured.err
+    assert captured.out == ""
+
+
+_CONFIG_FILES = itertools.count()
+_CONFIG_KEYS = sorted(_TOP_LEVEL_KEYS) + ["groups", "default", "methods", "triples", "qtype", "method"]
+YAML_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8) | st.sampled_from(_CONFIG_KEYS),
+    lambda children: st.lists(children, max_size=4)
+    | st.dictionaries(st.sampled_from(_CONFIG_KEYS) | st.text(max_size=4), children, max_size=4),
+    max_leaves=12,
+)
+
+
+@settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(
+    text=st.one_of(
+        st.text(max_size=60),
+        st.dictionaries(st.sampled_from(sorted(_TOP_LEVEL_KEYS)), YAML_VALUES, max_size=4).map(yaml.safe_dump),
+        YAML_VALUES.map(yaml.safe_dump),
+    )
+)
+def test_load_config_raises_only_config_error(tmp_path, text):
+    # A new file per example: truncating one costs far more than creating one.
+    config = tmp_path / f"config-{next(_CONFIG_FILES)}.yaml"
+    config.write_text(text, encoding="utf-8")
+    try:
+        load_config(str(config))
+    except ConfigError:
+        pass
+
+
+@settings(max_examples=300, deadline=None)
+@given(line=st.one_of(st.text(max_size=40), JSON_VALUES.map(json.dumps), st.dictionaries(
+    st.sampled_from(["id", "question", "contexts", "feature_overrides"]), JSON_VALUES, max_size=4
+).map(json.dumps)))
+def test_parse_request_raises_only_value_error(line):
+    try:
+        _parse_request(line, 1)
+    except ValueError:
+        pass

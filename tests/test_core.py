@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ragate.core import (
+    DatasetError,
     DuplicateId,
     EntityMention,
     GateDecision,
@@ -17,6 +18,7 @@ from ragate.core import (
     save_dataset,
     tokenize,
 )
+from ragate.core import _parse_record
 
 
 class TestNormalizeText:
@@ -202,3 +204,39 @@ class TestDatasetIO:
         path = tmp_path / "d.jsonl"
         path.write_text("\n" + json.dumps(_valid_row()) + "\n\n")
         assert len(load_dataset(path)) == 1
+
+
+_JSON_VALUES = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.integers(min_value=10**308, max_value=10**320)
+    | st.floats()
+    | st.text(max_size=8),
+    lambda children: st.lists(children, max_size=4) | st.dictionaries(st.text(max_size=8), children, max_size=4),
+    max_leaves=12,
+)
+_RECORD_FIELDS = sorted(_valid_row()) + ["contexts", "dataset_tag", "feature_overrides"]
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    obj=st.one_of(
+        _JSON_VALUES,
+        st.dictionaries(st.sampled_from(_RECORD_FIELDS), _JSON_VALUES, max_size=8),
+        st.dictionaries(st.sampled_from(_RECORD_FIELDS), _JSON_VALUES, max_size=4).map(lambda o: {**_valid_row(), **o}),
+    )
+)
+def test_parse_record_raises_only_dataset_error(obj):
+    try:
+        _parse_record(obj, 1)
+    except DatasetError:
+        pass
+
+
+def test_integer_literal_past_digit_limit_is_a_malformed_line(tmp_path):
+    path = tmp_path / "d.jsonl"
+    path.write_text(json.dumps(_valid_row()) + '\n{"id": ' + "1" * 5000 + "}\n", encoding="utf-8")
+    with pytest.raises(MalformedRecord) as info:
+        load_dataset(path)
+    assert info.value.line_no == 2

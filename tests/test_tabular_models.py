@@ -220,6 +220,95 @@ class TestKNN:
         assert pairwise_distances(A, B, "euclidean")[0, 0] == pytest.approx(5.0)
         assert pairwise_distances(A, B, "manhattan")[1, 0] == pytest.approx(5.0)
 
+    @pytest.mark.parametrize("metric", ["euclidean", "manhattan"])
+    @pytest.mark.parametrize("d", [1, 2, 7, 8, 9, 15, 16, 17, 28, 39, 64, 127, 128, 129, 200, 300, 1000])
+    def test_pairwise_distances_bit_identical_to_broadcast_sum(self, metric, d):
+        rng = np.random.default_rng(d)
+        A = rng.normal(size=(11, d)) * rng.uniform(0.01, 100.0, size=d)
+        B = rng.normal(size=(17, d)) * rng.uniform(0.01, 100.0, size=d)
+        B[:3] = A[:3]
+        diff = A[:, None, :] - B[None, :, :]
+        if metric == "euclidean":
+            expected = np.sqrt(np.sum(diff * diff, axis=2))
+        else:
+            expected = np.sum(np.abs(diff), axis=2)
+        assert np.array_equal(pairwise_distances(A, B, metric), expected)
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        d=st.one_of(st.integers(1, 40), st.sampled_from([64, 127, 128, 129, 136, 200, 300])),
+        m=st.integers(1, 40),
+        n=st.integers(1, 30),
+        k_frac=st.floats(0.0, 1.0),
+        integer=st.booleans(),
+        metric=st.sampled_from(["euclidean", "manhattan"]),
+        weights=st.sampled_from(["uniform", "distance"]),
+    )
+    def test_predict_proba_bit_identical_to_broadcast_reference(
+        self, seed, d, m, n, k_frac, integer, metric, weights
+    ):
+        rng = np.random.default_rng(seed)
+        if integer:
+            # Few distinct values: many equal distances and exact matches.
+            train_X = rng.integers(-2, 3, size=(m, d)).astype(np.float64)
+            X = rng.integers(-2, 3, size=(n, d)).astype(np.float64)
+        else:
+            train_X = rng.normal(size=(m, d))
+            X = rng.normal(size=(n, d))
+        copied = rng.integers(0, min(n, m) + 1)
+        X[:copied] = train_X[rng.permutation(m)[:copied]]
+        train_y = rng.integers(0, 2, size=m)
+        k = 1 + int(k_frac * (m - 1))
+        model = KNNModel(n_neighbors=k, metric=metric, weights=weights).fit(train_X, train_y)
+        expected = knn_broadcast_reference(train_X, train_y, X, k, metric, weights)
+        assert np.array_equal(model.predict_proba(X), expected)
+
+    @pytest.mark.parametrize("d", [1, 28, 129])
+    @pytest.mark.parametrize("weights", ["uniform", "distance"])
+    def test_tied_integer_grid_with_all_rows_as_neighbours(self, d, weights):
+        rng = np.random.default_rng(5)
+        train_X = rng.integers(0, 2, size=(30, d)).astype(np.float64)
+        train_y = rng.integers(0, 2, size=30)
+        X = np.vstack([train_X[:9], rng.integers(0, 2, size=(12, d))])  # 21 rows: not whole blocks
+        for k in (1, 4, 30):
+            for metric in ("euclidean", "manhattan"):
+                model = KNNModel(n_neighbors=k, metric=metric, weights=weights).fit(train_X, train_y)
+                expected = knn_broadcast_reference(train_X, train_y, X, k, metric, weights)
+                assert np.array_equal(model.predict_proba(X), expected)
+
+    def test_round_trip_scores_identically(self):
+        X, y = separable(n=40)
+        model = KNNModel(n_neighbors=5, weights="distance").fit(X, y)
+        clone = KNNModel.from_dict(model.to_dict())
+        assert np.array_equal(clone.predict_proba(X + 0.1), model.predict_proba(X + 0.1))
+
+
+def knn_broadcast_reference(train_X, train_y, X, k, metric, weights):
+    """The plain formulation KNNModel must match bit for bit: one broadcast
+    (queries x train x features) difference, a stable argsort of every row,
+    and a Python loop over the rows."""
+    diff = X[:, None, :] - train_X[None, :, :]
+    if metric == "euclidean":
+        dist = np.sqrt(np.sum(diff * diff, axis=2))
+    else:
+        dist = np.sum(np.abs(diff), axis=2)
+    order = np.argsort(dist, axis=1, kind="stable")[:, :k]
+    probs = np.empty(X.shape[0])
+    for i in range(X.shape[0]):
+        nbrs = order[i]
+        labels = train_y[nbrs]
+        if weights == "uniform":
+            probs[i] = float(np.mean(labels))
+            continue
+        dk = dist[i, nbrs]
+        if np.any(dk == 0.0):
+            probs[i] = float(np.mean(labels[dk == 0.0]))
+        else:
+            w = 1.0 / dk
+            probs[i] = float(np.sum(w * labels) / np.sum(w))
+    return probs
+
 
 class TestDecisionTree:
     def test_resolve_max_features(self):
