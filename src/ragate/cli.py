@@ -12,7 +12,7 @@ import sys
 import numpy as np
 
 from .config import ConfigError, RunConfig, build_schema, check_threshold, load_config, load_models, load_stores
-from .core import DatasetError, QuestionRecord, answer_is_correct, load_dataset
+from .core import DatasetError, QuestionRecord, answer_outcomes, load_dataset
 from .evalgate import (
     LengthMismatch,
     evaluate_method,
@@ -24,7 +24,14 @@ from .evalgate import (
     render_report,
     standard_reports,
 )
-from .features import FeatureSchema, ModelMissing, SchemaMismatch, extract_all
+from .features import (
+    FeatureSchema,
+    ModelMissing,
+    SchemaMismatch,
+    extract_all,
+    read_features_tsv,
+    write_features_tsv,
+)
 from .stores import StoreError
 from .tabular import (
     DegenerateData,
@@ -53,59 +60,6 @@ _CLI_ERRORS = (
     ValueError,
     OSError,
 )
-
-
-# ---------------------------------------------------------------------------
-# Feature table file format: '#' comments, header "id<TAB>names...", repr floats
-# ---------------------------------------------------------------------------
-
-
-def write_features_tsv(path, ids, schema: FeatureSchema, matrix: np.ndarray) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("# per-question feature table\n")
-        fh.write("# groups: " + " ".join(g for _, g in schema.entries) + "\n")
-        fh.write("id\t" + "\t".join(schema.names) + "\n")
-        for row_id, row in zip(ids, matrix):
-            fh.write(row_id + "\t" + "\t".join(repr(float(v)) for v in row) + "\n")
-
-
-def read_features_tsv(path):
-    """Returns (ids, (name, group) entries, matrix)."""
-    groups = None
-    header = None
-    ids = []
-    rows = []
-    with open(path, encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            line = line.rstrip("\n")
-            if not line.strip():
-                continue
-            if line.startswith("#"):
-                body = line[1:].strip()
-                if body.startswith("groups:"):
-                    groups = tuple(body[len("groups:") :].split())
-                continue
-            cols = line.split("\t")
-            if header is None:
-                if cols[0] != "id" or len(cols) < 2:
-                    raise ValueError(f"{path}:{line_no}: feature table header must start with 'id'")
-                header = tuple(cols[1:])
-                continue
-            if len(cols) != len(header) + 1:
-                raise ValueError(f"{path}:{line_no}: expected {len(header) + 1} columns, got {len(cols)}")
-            ids.append(cols[0])
-            try:
-                rows.append([float(v) for v in cols[1:]])
-            except ValueError as exc:
-                raise ValueError(f"{path}:{line_no}: {exc}") from exc
-    if header is None:
-        raise ValueError(f"{path}: no header row found")
-    if groups is None:
-        groups = ("feature",) * len(header)
-    if len(groups) != len(header):
-        raise ValueError(f"{path}: groups comment lists {len(groups)} entries for {len(header)} columns")
-    matrix = np.array(rows, dtype=np.float64) if rows else np.empty((0, len(header)))
-    return ids, tuple(zip(header, groups)), matrix
 
 
 def _sha256(path) -> str:
@@ -267,9 +221,7 @@ def cmd_evaluate(args) -> int:
 
     y = np.array([label_need_retrieval(r) for r in records], dtype=np.int64)
     data = TabularDataset(X, y, names)
-    cwo = [answer_is_correct(r.answer_without_retrieval, r.gold_answers) for r in records]
-    cw = [answer_is_correct(r.answer_with_retrieval, r.gold_answers) for r in records]
-    metric = in_accuracy_metric(cwo, cw, threshold)
+    metric = in_accuracy_metric(*answer_outcomes(records), threshold)
     importance = permutation_importance(gate, data, metric, repeats=config.importance_repeats, seed=seed)
     corr = correlation_matrix(X, y)
 

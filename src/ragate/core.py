@@ -12,6 +12,8 @@ import math
 import unicodedata
 from dataclasses import dataclass, field
 
+import numpy as np
+
 __all__ = [
     "DatasetError",
     "MalformedRecord",
@@ -23,6 +25,9 @@ __all__ = [
     "normalize_text",
     "tokenize",
     "answer_is_correct",
+    "LabeledOutcome",
+    "answer_outcomes",
+    "in_accuracy",
     "load_dataset",
     "save_dataset",
 ]
@@ -107,6 +112,37 @@ class QuestionRecord:
     contexts: tuple[str, ...] = ()
     dataset_tag: str = ""
     feature_overrides: dict[str, float] = field(default_factory=dict)
+
+
+@dataclass(frozen=True)
+class LabeledOutcome:
+    """Whether a record's stored answers, without and with retrieval, are correct."""
+
+    correct_without: bool
+    correct_with: bool
+
+    @classmethod
+    def from_record(cls, record: QuestionRecord) -> "LabeledOutcome":
+        return cls(
+            correct_without=answer_is_correct(record.answer_without_retrieval, record.gold_answers),
+            correct_with=answer_is_correct(record.answer_with_retrieval, record.gold_answers),
+        )
+
+
+def answer_outcomes(records) -> tuple[np.ndarray, np.ndarray]:
+    """The outcomes of ``records`` as two boolean arrays: (without, with)."""
+    outcomes = [LabeledOutcome.from_record(r) for r in records]
+    correct_without = np.array([o.correct_without for o in outcomes], dtype=bool)
+    correct_with = np.array([o.correct_with for o in outcomes], dtype=bool)
+    return correct_without, correct_with
+
+
+def in_accuracy(decisions, correct_without, correct_with) -> float:
+    """In-Accuracy of a decision vector: the share of questions whose chosen
+    answer (with retrieval where the decision is to retrieve, else without)
+    is correct."""
+    chosen = np.where(np.asarray(decisions, dtype=bool), correct_with, correct_without)
+    return float(np.mean(chosen))
 
 
 @dataclass(frozen=True)

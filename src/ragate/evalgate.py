@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import GateDecision, QuestionRecord, RunReport, answer_is_correct
+from .core import GateDecision, LabeledOutcome, QuestionRecord, RunReport, answer_outcomes, in_accuracy
 from .features import FeatureVector, SchemaMismatch
 from .tabular.base import TabularDataset
 from .tabular.protocol import GateModel
@@ -90,19 +90,6 @@ class CostModel:
         return cls(default=default, methods=methods)
 
 
-@dataclass(frozen=True)
-class LabeledOutcome:
-    correct_without: bool
-    correct_with: bool
-
-    @classmethod
-    def from_record(cls, record: QuestionRecord) -> "LabeledOutcome":
-        return cls(
-            correct_without=answer_is_correct(record.answer_without_retrieval, record.gold_answers),
-            correct_with=answer_is_correct(record.answer_with_retrieval, record.gold_answers),
-        )
-
-
 def label_need_retrieval(record: QuestionRecord) -> int:
     """1 iff retrieval flips a wrong answer to a right one; else 0."""
     outcome = LabeledOutcome.from_record(record)
@@ -130,18 +117,12 @@ def evaluate_method(method_name: str, decisions, records, cost: MethodCost = Met
         raise LengthMismatch(f"{len(decisions)} decisions for {len(records)} records")
     if not len(records):
         raise ValueError("cannot evaluate an empty record list")
-    hits = 0
-    retrievals = 0
-    for decision, record in zip(decisions, records):
-        chosen = record.answer_with_retrieval if decision else record.answer_without_retrieval
-        hits += answer_is_correct(chosen, record.gold_answers)
-        retrievals += bool(decision)
-    n = len(records)
+    decisions = np.asarray(decisions, dtype=bool)
     return RunReport(
         method_name=method_name,
-        in_accuracy=hits / n,
+        in_accuracy=in_accuracy(decisions, *answer_outcomes(records)),
         lm_calls=cost.lm_calls,
-        retrieval_calls=retrievals / n,
+        retrieval_calls=float(np.mean(decisions)),
         mean_pflops=cost.mean_pflops,
     )
 
@@ -179,8 +160,7 @@ def in_accuracy_metric(correct_without, correct_with, threshold: float = DEFAULT
     cw = np.asarray(correct_with, dtype=bool)
 
     def metric(model, X) -> float:
-        decisions = model.predict_proba(X) >= threshold
-        return float(np.mean(np.where(decisions, cw, cwo)))
+        return in_accuracy(model.predict_proba(X) >= threshold, cwo, cw)
 
     return metric
 

@@ -44,11 +44,12 @@ __all__ = [
     "popularity_features",
     "frequency_features",
     "knowledgability_features",
-    "knowledgability_prompt",
     "question_type_features",
     "complexity_feature",
     "context_relevance_features",
     "extract_all",
+    "read_features_tsv",
+    "write_features_tsv",
 ]
 
 
@@ -156,6 +157,8 @@ class FeatureSchema:
         for group in self.groups_present():
             if group == "override":
                 continue
+            if group not in expected:
+                raise ValueError(f"unknown feature group {group!r}")
             got = self.group_names(group)
             if got != expected[group]:
                 raise ValueError(f"group {group!r} features {got} do not match schema flags {expected[group]}")
@@ -356,17 +359,6 @@ def knowledgability_features(mentions, know_store: KnowledgabilityStore, schema:
     return tuple(getattr(aggs, a) / 100.0 for a in schema.knowledgability_aggregates)
 
 
-def knowledgability_prompt(question: str) -> str:
-    """Verbalized self-assessment prompt used to precompute entity scores."""
-    return (
-        "Answer the following question based on your internal knowledge with "
-        "one or few words. If you are sure the answer is accurate and correct, "
-        "please say '100'. If you are not confident with the answer, please "
-        "range your knowledgability from 0 to 100, say just number. For "
-        f"example, '40'. Question: {question}. Answer:"
-    )
-
-
 def question_type_features(question: str, qtype_model: TextClassifier | None) -> tuple[float, ...]:
     """Probability of each of the nine question-type classes, fixed order."""
     if qtype_model is None:
@@ -479,3 +471,56 @@ def extract_all(
         else:
             values.append(computed[name])
     return FeatureVector(schema=schema, values=np.array(values, dtype=np.float64))
+
+
+# ---------------------------------------------------------------------------
+# Feature table file format: '#' comments, header "id<TAB>names...", repr floats
+# ---------------------------------------------------------------------------
+
+
+def write_features_tsv(path, ids, schema: FeatureSchema, matrix: np.ndarray) -> None:
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write("# per-question feature table\n")
+        fh.write("# groups: " + " ".join(g for _, g in schema.entries) + "\n")
+        fh.write("id\t" + "\t".join(schema.names) + "\n")
+        for row_id, row in zip(ids, matrix):
+            fh.write(row_id + "\t" + "\t".join(repr(float(v)) for v in row) + "\n")
+
+
+def read_features_tsv(path):
+    """Returns (ids, (name, group) entries, matrix)."""
+    groups = None
+    header = None
+    ids = []
+    rows = []
+    with open(path, encoding="utf-8") as fh:
+        for line_no, line in enumerate(fh, start=1):
+            line = line.rstrip("\n")
+            if not line.strip():
+                continue
+            if line.startswith("#"):
+                body = line[1:].strip()
+                if body.startswith("groups:"):
+                    groups = tuple(body[len("groups:") :].split())
+                continue
+            cols = line.split("\t")
+            if header is None:
+                if cols[0] != "id" or len(cols) < 2:
+                    raise ValueError(f"{path}:{line_no}: feature table header must start with 'id'")
+                header = tuple(cols[1:])
+                continue
+            if len(cols) != len(header) + 1:
+                raise ValueError(f"{path}:{line_no}: expected {len(header) + 1} columns, got {len(cols)}")
+            ids.append(cols[0])
+            try:
+                rows.append([float(v) for v in cols[1:]])
+            except ValueError as exc:
+                raise ValueError(f"{path}:{line_no}: {exc}") from exc
+    if header is None:
+        raise ValueError(f"{path}: no header row found")
+    if groups is None:
+        groups = ("feature",) * len(header)
+    if len(groups) != len(header):
+        raise ValueError(f"{path}: groups comment lists {len(groups)} entries for {len(header)} columns")
+    matrix = np.array(rows, dtype=np.float64) if rows else np.empty((0, len(header)))
+    return ids, tuple(zip(header, groups)), matrix

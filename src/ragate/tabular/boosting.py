@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 
 from .base import InvalidHyperparameter, _sigmoid, check_two_classes
-from .trees import grow_tree, tree_from_dict, tree_predict, tree_to_dict
+from .trees import Tree, grow_tree, tree_predict
 
 _LEAF_EPS = 1e-12
 
@@ -92,14 +92,16 @@ class GradientBoostingModel:
             "params": self.get_params(),
             "seed": self.seed,
             "base_score": self.base_score,
-            "trees": [tree_to_dict(t) for t in self.trees],
+            "trees": [t.to_dict() for t in self.trees],
             "train_loss_history": self.train_loss_history,
         }
 
     @classmethod
-    def from_dict(cls, obj: dict) -> "GradientBoostingModel":
+    def from_dict(cls, obj: dict, n_features: int | None = None) -> "GradientBoostingModel":
         model = cls(**obj["params"], seed=obj["seed"])
         model.base_score = float(obj["base_score"])
-        model.trees = [tree_from_dict(t) for t in obj["trees"]]
+        model.trees = [Tree.from_dict(t, n_features) for t in obj["trees"]]
+        if not model.trees:
+            raise ValueError("gboost state holds no trees")
         model.train_loss_history = [float(v) for v in obj.get("train_loss_history", [])]
         return model

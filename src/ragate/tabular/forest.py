@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 
 from .base import InvalidHyperparameter, check_two_classes, resolve_sample_weights
-from .trees import grow_tree, laplace_leaf, tree_from_dict, tree_predict, tree_to_dict
+from .trees import Tree, grow_tree, laplace_leaf, tree_predict
 
 _CRITERIA = ("gini", "entropy")
 
@@ -90,15 +90,17 @@ class RandomForestModel:
         return {
             "params": self.get_params(),
             "seed": self.seed,
-            "trees": [tree_to_dict(t) for t in self.trees],
+            "trees": [t.to_dict() for t in self.trees],
         }
 
     @classmethod
-    def from_dict(cls, obj: dict) -> "RandomForestModel":
+    def from_dict(cls, obj: dict, n_features: int | None = None) -> "RandomForestModel":
         params = dict(obj["params"])
         cw = params.get("class_weight")
         if isinstance(cw, dict):
             params["class_weight"] = {int(k): float(v) for k, v in cw.items()}
         model = cls(**params, seed=obj["seed"])
-        model.trees = [tree_from_dict(t) for t in obj["trees"]]
+        model.trees = [Tree.from_dict(t, n_features) for t in obj["trees"]]
+        if not model.trees:
+            raise ValueError("rforest state holds no trees")
         return model

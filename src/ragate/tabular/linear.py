@@ -91,8 +91,10 @@ class LogisticRegressionModel:
         }
 
     @classmethod
-    def from_dict(cls, obj: dict) -> "LogisticRegressionModel":
+    def from_dict(cls, obj: dict, n_features: int | None = None) -> "LogisticRegressionModel":
         model = cls(**obj["params"], seed=obj["seed"])
         model.weights = np.asarray(obj["weights"], dtype=np.float64)
         model.bias = float(obj["bias"])
+        if model.weights.ndim != 1 or n_features not in (None, model.weights.size):
+            raise ValueError(f"logreg weights do not fit {n_features} features")
         return model

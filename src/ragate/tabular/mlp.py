@@ -236,8 +236,13 @@ class MLPModel:
         }
 
     @classmethod
-    def from_dict(cls, obj: dict) -> "MLPModel":
+    def from_dict(cls, obj: dict, n_features: int | None = None) -> "MLPModel":
         model = cls(**obj["params"], seed=obj["seed"])
         model.shapes = [tuple(s) for s in obj["shapes"]]
         model.flat = np.asarray(obj["flat"], dtype=np.float64)
+        width = model.shapes[0][0] if n_features is None else n_features
+        expected = layer_shapes(width, model.hidden_layer_sizes)
+        if model.shapes != expected or model.flat.shape != (sum(i * o + o for i, o in expected),):
+            raise ValueError(f"mlp weights do not fit {n_features} features")
+        model.shapes = expected
         return model

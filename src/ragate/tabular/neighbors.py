@@ -195,7 +195,10 @@ class KNNModel:
         }
 
     @classmethod
-    def from_dict(cls, obj: dict) -> "KNNModel":
+    def from_dict(cls, obj: dict, n_features: int | None = None) -> "KNNModel":
         model = cls(**obj["params"], seed=obj["seed"])
         model._set_train(obj["train_X"], obj["train_y"])
+        rows, width = model.train_X.shape if model.train_X.ndim == 2 else (0, None)
+        if rows == 0 or model.train_y.shape != (rows,) or n_features not in (None, width):
+            raise ValueError(f"knn training rows do not fit {n_features} features")
         return model

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..core import QuestionRecord, answer_is_correct
+from ..core import answer_outcomes, in_accuracy
 from .base import (
     FAMILY_ORDER,
     DegenerateData,
@@ -52,15 +52,12 @@ class EvalSplit:
     def from_records(cls, data: TabularDataset, records) -> "EvalSplit":
         if len(records) != data.n:
             raise ValueError(f"{len(records)} records for {data.n} feature rows")
-        cwo = np.array([answer_is_correct(r.answer_without_retrieval, r.gold_answers) for r in records])
-        cw = np.array([answer_is_correct(r.answer_with_retrieval, r.gold_answers) for r in records])
+        cwo, cw = answer_outcomes(records)
         return cls(data=data, correct_without=cwo, correct_with=cw)
 
 
 def selection_in_accuracy(proba: np.ndarray, split: EvalSplit, threshold: float = SELECTION_THRESHOLD) -> float:
-    decisions = np.asarray(proba) >= threshold
-    chosen = np.where(decisions, split.correct_with, split.correct_without)
-    return float(np.mean(chosen))
+    return in_accuracy(np.asarray(proba) >= threshold, split.correct_without, split.correct_with)
 
 
 @dataclass
@@ -203,26 +200,58 @@ def save_gate(model: GateModel, path) -> None:
         fh.write("\n")
 
 
+def _section(obj: dict, key: str, kind: type):
+    if key not in obj:
+        raise ValueError(f"gate artifact lacks {key!r}")
+    if not isinstance(obj[key], kind):
+        raise ValueError(f"gate artifact {key!r} must be a {kind.__name__}, got {type(obj[key]).__name__}")
+    return obj[key]
+
+
+def _strings(obj: dict, key: str) -> tuple[str, ...]:
+    values = _section(obj, key, list)
+    if not all(isinstance(v, str) for v in values):
+        raise ValueError(f"gate artifact {key!r} must list strings")
+    return tuple(values)
+
+
 def gate_from_dict(obj: dict) -> GateModel:
-    if obj.get("kind") != "retrieval-gate":
+    """Rebuild a gate from its artifact; anything malformed raises ValueError."""
+    if not isinstance(obj, dict) or obj.get("kind") != "retrieval-gate":
         raise ValueError("not a retrieval-gate artifact")
+    names = _strings(obj, "feature_names")
+    groups = _strings(obj, "feature_groups")
+    scaler = scaler_from_dict(_section(obj, "scaler", dict))
+    if not len(names) == len(groups) == scaler.mean.size:
+        raise ValueError("gate feature_names, feature_groups and scaler lengths disagree")
+    entries = _section(obj, "members", list)
     members = []
     families = []
-    for entry in obj["members"]:
-        family = entry["family"]
+    for entry in entries:
+        if not isinstance(entry, dict):
+            raise ValueError("each gate member must be an object")
+        family = _section(entry, "family", str)
         if family not in FAMILY_CLASSES:
             raise ValueError(f"artifact names unknown family {family!r}")
+        state = _section(entry, "state", dict)
+        try:
+            members.append(FAMILY_CLASSES[family].from_dict(state, n_features=len(names)))
+        except (KeyError, TypeError, AttributeError, IndexError, OverflowError, InvalidHyperparameter) as exc:
+            raise ValueError(f"invalid {family} member state: {type(exc).__name__}: {exc}") from None
         families.append(family)
-        members.append(FAMILY_CLASSES[family].from_dict(entry["state"]))
     return GateModel(
-        feature_names=tuple(obj["feature_names"]),
-        feature_groups=tuple(obj["feature_groups"]),
-        scaler=scaler_from_dict(obj["scaler"]),
+        feature_names=names,
+        feature_groups=groups,
+        scaler=scaler,
         voting=VotingModel(families=tuple(families), members=tuple(members)),
-        provenance=obj.get("provenance", {}),
+        provenance=_section(obj, "provenance", dict) if "provenance" in obj else {},
     )
 
 
 def load_gate(path) -> GateModel:
     with open(path, encoding="utf-8") as fh:
-        return gate_from_dict(json.load(fh))
+        try:
+            obj = json.load(fh)
+        except RecursionError:
+            raise ValueError(f"{path}: JSON nested too deeply") from None
+    return gate_from_dict(obj)

@@ -35,7 +35,16 @@ def scaler_to_dict(scaler: Scaler) -> dict:
 
 
 def scaler_from_dict(obj: dict) -> Scaler:
-    return Scaler(
-        mean=np.asarray(obj["mean"], dtype=np.float64),
-        std=np.asarray(obj["std"], dtype=np.float64),
-    )
+    """Raises ValueError unless ``mean`` and ``std`` are equal-length lists of
+    finite numbers and no ``std`` is negative."""
+    if not isinstance(obj, dict) or "mean" not in obj or "std" not in obj:
+        raise ValueError("scaler must be an object with 'mean' and 'std' lists")
+    try:
+        scaler = Scaler(mean=np.asarray(obj["mean"], dtype=np.float64), std=np.asarray(obj["std"], dtype=np.float64))
+    except (TypeError, ValueError, OverflowError):
+        raise ValueError("scaler 'mean' and 'std' must be lists of numbers") from None
+    if scaler.mean.ndim != 1 or scaler.mean.shape != scaler.std.shape:
+        raise ValueError("scaler 'mean' and 'std' must be lists of equal length")
+    if not (np.all(np.isfinite(scaler.mean)) and np.all(np.isfinite(scaler.std)) and np.all(scaler.std >= 0.0)):
+        raise ValueError("scaler 'mean' must be finite and 'std' finite and >= 0")
+    return scaler

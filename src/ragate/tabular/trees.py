@@ -6,12 +6,28 @@ distinct sorted values ("best") or samples one uniform threshold per
 candidate feature ("random"); max_features subsamples candidates per node.
 Ties keep the first candidate encountered, so trees are reproducible for a
 fixed rng.
+
+A fitted tree is a ``Tree``: six parallel arrays over its nodes, in
+pre-order (a node, then its whole left subtree, then its right subtree), so
+the root is node 0 and every child comes after its parent:
+
+* ``feature``: the column an internal node splits on, -1 at a leaf;
+* ``threshold``: the split value (0.0 at a leaf);
+* ``left`` / ``right``: child node indices (-1 at a leaf);
+* ``value``: the node's leaf value (kept for internal nodes too);
+* ``n``: the number of training samples that reached the node.
+
+A row goes left when ``x[feature] <= threshold`` and right otherwise, so a
+``NaN`` feature value always goes right. Growing pops nodes from an explicit
+stack; scoring walks a few rows down one at a time and takes a batch down
+all together, one level per vectorized step. No recursion depth grows with
+the tree. ``to_dict`` writes the six arrays as plain JSON lists, and
+``from_dict`` checks them (see ``Tree``).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import xlogy
@@ -20,20 +36,83 @@ from .base import InvalidHyperparameter
 
 _CRITERIA_CLS = ("gini", "entropy")
 _SPLITTERS = ("best", "random")
+_FIELDS = ("feature", "threshold", "left", "right", "value", "n")
+# Below this many rows a plain walk per row is cheaper than vectorized steps.
+_WALK_ROWS = 16
 
 
-@dataclass
-class TreeNode:
-    value: float
-    n_samples: int
-    feature: int = -1
-    threshold: float = 0.0
-    left: "TreeNode | None" = None
-    right: "TreeNode | None" = None
+def _column(values, name: str, integral: bool) -> np.ndarray:
+    try:
+        a = np.asarray(values)
+    except (ValueError, TypeError, OverflowError):
+        a = None
+    if a is None or a.ndim != 1 or a.dtype.kind not in ("iu" if integral else "iuf"):
+        raise ValueError(f"tree {name} must be a list of {'integers' if integral else 'numbers'}")
+    if integral:
+        if a.size and (a.min() < -1 or a.max() >= 2**31):
+            raise ValueError(f"tree {name} holds an out-of-range index")
+        return a.astype(np.intp)
+    a = a.astype(np.float64)
+    if not np.all(np.isfinite(a)):
+        raise ValueError(f"tree {name} must be finite")
+    return a
 
-    @property
-    def is_leaf(self) -> bool:
-        return self.left is None
+
+class Tree:
+    """One fitted tree as parallel node arrays in pre-order (see module doc)."""
+
+    def __init__(self, feature, threshold, left, right, value, n):
+        self.feature = np.asarray(feature, dtype=np.intp)
+        self.threshold = np.asarray(threshold, dtype=np.float64)
+        self.left = np.asarray(left, dtype=np.intp)
+        self.right = np.asarray(right, dtype=np.intp)
+        self.value = np.asarray(value, dtype=np.float64)
+        self.n = np.asarray(n, dtype=np.intp)
+        # Scoring tables. Vectorized steps: a leaf is its own child on both
+        # sides and reads column 0, so ``depth`` steps land every row on its
+        # leaf. Row walks: the arrays as Python lists.
+        split = self.feature >= 0
+        node = np.arange(split.size)
+        self._feature = np.where(split, self.feature, 0)
+        self._child = np.stack([np.where(split, self.right, node), np.where(split, self.left, node)], axis=1).ravel()
+        self._walk = tuple(a.tolist() for a in (self.feature, self.threshold, self.left, self.right, self.value))
+        # depth: edges on the longest root-to-leaf path, one level per step
+        level, self.depth = node[:1], 0
+        while True:
+            level = level[split[level]]
+            if level.size == 0:
+                break
+            level = np.concatenate([self.left[level], self.right[level]])
+            self.depth += 1
+
+    def to_dict(self) -> dict:
+        return {f: getattr(self, f).tolist() for f in _FIELDS}
+
+    @classmethod
+    def from_dict(cls, obj, n_features: int | None = None) -> "Tree":
+        """Rebuild a tree from ``to_dict`` output; raises ``ValueError`` for
+        arrays of unequal length, a child that is out of range or not after
+        its parent, a node with other than one parent, a feature below -1
+        (or at or past ``n_features`` when given), and a non-finite
+        threshold or value."""
+        if not isinstance(obj, dict) or set(obj) != set(_FIELDS):
+            raise ValueError(f"a tree must be an object with exactly the keys {list(_FIELDS)}")
+        arrays = {f: _column(obj[f], f, integral=f not in ("threshold", "value")) for f in _FIELDS}
+        size = arrays["feature"].size
+        if size == 0 or any(a.size != size for a in arrays.values()):
+            raise ValueError("tree arrays must be non-empty and of equal length")
+        feature, left, right = arrays["feature"], arrays["left"], arrays["right"]
+        if n_features is not None and np.any(feature >= n_features):
+            raise ValueError(f"tree splits on a feature outside [0, {n_features})")
+        node, split = np.arange(size), feature >= 0
+        for child in (left, right):
+            if np.any(split & ((child <= node) | (child >= size))) or np.any(~split & (child != -1)):
+                raise ValueError("tree child index is out of range or not after its parent")
+        if not np.array_equal(np.sort(np.concatenate([left[split], right[split]])), node[1:]):
+            raise ValueError("every tree node but the root must have exactly one parent")
+        if np.any(arrays["n"] < 0):
+            raise ValueError("tree sample counts must be >= 0")
+        return cls(**arrays)
 
 
 def resolve_max_features(max_features, n_features: int) -> int:
@@ -119,20 +198,6 @@ def _random_split(v: np.ndarray, y: np.ndarray, w: np.ndarray, criterion: str, r
     return threshold, _children_score(y, w, mask, criterion)
 
 
-class _GrowContext:
-    def __init__(self, X, targets, weights, criterion, splitter, max_depth, max_feats, rng, leaf_value, min_samples_split):
-        self.X = X
-        self.targets = targets
-        self.weights = weights
-        self.criterion = criterion
-        self.splitter = splitter
-        self.max_depth = max_depth
-        self.max_feats = max_feats
-        self.rng = rng
-        self.leaf_value = leaf_value
-        self.min_samples_split = min_samples_split
-
-
 def grow_tree(
     X: np.ndarray,
     targets: np.ndarray,
@@ -145,8 +210,13 @@ def grow_tree(
     rng=None,
     leaf_value=None,
     min_samples_split: int = 2,
-) -> TreeNode:
-    """Grow one tree; ``leaf_value(idx)`` maps sample indices to a leaf value."""
+) -> Tree:
+    """Grow one tree; ``leaf_value(idx)`` maps sample indices to a leaf value.
+
+    Nodes are grown in pre-order from an explicit stack (the left child is
+    pushed last, so it is grown first), which also fixes the order of the
+    rng draws for ``max_features`` and the random splitter.
+    """
     if criterion not in _CRITERIA_CLS + ("mse",):
         raise InvalidHyperparameter(f"unknown criterion {criterion!r}")
     if splitter not in _SPLITTERS:
@@ -161,94 +231,76 @@ def grow_tree(
         leaf_value = lambda idx: float(  # noqa: E731 - default: weighted mean
             np.sum(sample_weight[idx] * targets[idx]) / np.sum(sample_weight[idx])
         )
-    ctx = _GrowContext(
-        X,
-        targets,
-        sample_weight,
-        criterion,
-        splitter,
-        max_depth,
-        resolve_max_features(max_features, X.shape[1]),
-        rng if rng is not None else np.random.default_rng(0),
-        leaf_value,
-        min_samples_split,
-    )
-    return _grow(ctx, np.arange(X.shape[0]), depth=0)
+    n_features = X.shape[1]
+    max_feats = resolve_max_features(max_features, n_features)
+    rng = rng if rng is not None else np.random.default_rng(0)
 
+    feature, threshold, left, right, value, n = [], [], [], [], [], []
+    # (sample indices, depth, the node this is the right child of or -1)
+    stack = [(np.arange(X.shape[0]), 0, -1)]
+    while stack:
+        idx, depth, right_of = stack.pop()
+        node = len(value)
+        if right_of >= 0:
+            right[right_of] = node
+        value.append(float(leaf_value(idx)))
+        n.append(int(idx.size))
+        feature.append(-1)
+        threshold.append(0.0)
+        left.append(-1)
+        right.append(-1)
+        t = targets[idx]
+        if idx.size < min_samples_split or (max_depth is not None and depth >= max_depth) or np.all(t == t[0]):
+            continue
 
-def _grow(ctx: _GrowContext, idx: np.ndarray, depth: int) -> TreeNode:
-    value = float(ctx.leaf_value(idx))
-    node = TreeNode(value=value, n_samples=int(idx.size))
-    t = ctx.targets[idx]
-    if (
-        idx.size < ctx.min_samples_split
-        or (ctx.max_depth is not None and depth >= ctx.max_depth)
-        or np.all(t == t[0])
-    ):
-        return node
-
-    n_features = ctx.X.shape[1]
-    if ctx.max_feats < n_features:
-        feats = ctx.rng.choice(n_features, size=ctx.max_feats, replace=False)
-    else:
-        feats = np.arange(n_features)
-
-    w = ctx.weights[idx]
-    best = None
-    for f in feats:
-        v = ctx.X[idx, f]
-        if ctx.splitter == "best":
-            found = _best_split(v, t, w, ctx.criterion)
+        if max_feats < n_features:
+            feats = rng.choice(n_features, size=max_feats, replace=False)
         else:
-            found = _random_split(v, t, w, ctx.criterion, ctx.rng)
-        if found is not None and (best is None or found[1] < best[2]):
-            best = (int(f), found[0], found[1])
-    if best is None:
-        return node
+            feats = np.arange(n_features)
+        w = sample_weight[idx]
+        best = None
+        for f in feats:
+            v = X[idx, f]
+            if splitter == "best":
+                found = _best_split(v, t, w, criterion)
+            else:
+                found = _random_split(v, t, w, criterion, rng)
+            if found is not None and (best is None or found[1] < best[2]):
+                best = (int(f), found[0], found[1])
+        if best is None:
+            continue
 
-    node.feature, node.threshold = best[0], best[1]
-    mask = ctx.X[idx, node.feature] <= node.threshold
-    node.left = _grow(ctx, idx[mask], depth + 1)
-    node.right = _grow(ctx, idx[~mask], depth + 1)
-    return node
+        # The left child is popped next, so it becomes node + 1.
+        feature[node], threshold[node], left[node] = best[0], best[1], node + 1
+        mask = X[idx, best[0]] <= best[1]
+        stack.append((idx[~mask], depth + 1, node))
+        stack.append((idx[mask], depth + 1, -1))
+    return Tree(feature, threshold, left, right, value, n)
 
 
-def tree_predict(node: TreeNode, X: np.ndarray) -> np.ndarray:
+def tree_predict(tree: Tree, X: np.ndarray) -> np.ndarray:
+    """Leaf value for each row of ``X``.
+
+    A few rows walk down one by one and stop at their own leaf; a larger
+    batch takes ``tree.depth`` vectorized steps, which cost a handful of
+    numpy calls each, whatever the number of rows.
+    """
     X = np.asarray(X, dtype=np.float64)
-    out = np.empty(X.shape[0])
-    _route(node, X, np.arange(X.shape[0]), out)
-    return out
-
-
-def _route(node: TreeNode, X: np.ndarray, idx: np.ndarray, out: np.ndarray) -> None:
-    if idx.size == 0:
-        return
-    if node.is_leaf:
-        out[idx] = node.value
-        return
-    mask = X[idx, node.feature] <= node.threshold
-    _route(node.left, X, idx[mask], out)
-    _route(node.right, X, idx[~mask], out)
-
-
-def tree_to_dict(node: TreeNode) -> dict:
-    obj = {"value": node.value, "n": node.n_samples}
-    if not node.is_leaf:
-        obj["feature"] = node.feature
-        obj["threshold"] = node.threshold
-        obj["left"] = tree_to_dict(node.left)
-        obj["right"] = tree_to_dict(node.right)
-    return obj
-
-
-def tree_from_dict(obj: dict) -> TreeNode:
-    node = TreeNode(value=float(obj["value"]), n_samples=int(obj["n"]))
-    if "feature" in obj:
-        node.feature = int(obj["feature"])
-        node.threshold = float(obj["threshold"])
-        node.left = tree_from_dict(obj["left"])
-        node.right = tree_from_dict(obj["right"])
-    return node
+    if X.shape[0] < _WALK_ROWS:
+        feature, threshold, left, right, value = tree._walk
+        out = []
+        for x in X.tolist():
+            node = 0
+            while feature[node] >= 0:
+                node = left[node] if x[feature[node]] <= threshold[node] else right[node]
+            out.append(value[node])
+        return np.array(out, dtype=np.float64)
+    flat = X.ravel()
+    row_start = np.arange(X.shape[0]) * X.shape[1]
+    node = np.zeros(X.shape[0], dtype=np.intp)
+    for _ in range(tree.depth):
+        node = tree._child[2 * node + (flat[row_start + tree._feature[node]] <= tree.threshold[node])]
+    return tree.value[node]
 
 
 def laplace_leaf(targets: np.ndarray, weights: np.ndarray):
@@ -273,7 +325,7 @@ class DecisionTreeModel:
         self.criterion = criterion
         self.splitter = splitter
         self.seed = seed
-        self.tree: TreeNode | None = None
+        self.tree: Tree | None = None
 
     def get_params(self) -> dict:
         return {
@@ -307,10 +359,10 @@ class DecisionTreeModel:
         return tree_predict(self.tree, X)
 
     def to_dict(self) -> dict:
-        return {"params": self.get_params(), "seed": self.seed, "tree": tree_to_dict(self.tree)}
+        return {"params": self.get_params(), "seed": self.seed, "tree": self.tree.to_dict()}
 
     @classmethod
-    def from_dict(cls, obj: dict) -> "DecisionTreeModel":
+    def from_dict(cls, obj: dict, n_features: int | None = None) -> "DecisionTreeModel":
         model = cls(**obj["params"], seed=obj["seed"])
-        model.tree = tree_from_dict(obj["tree"])
+        model.tree = Tree.from_dict(obj["tree"], n_features)
         return model

@@ -420,6 +420,48 @@ def test_threshold_flag_out_of_range(world, tmp_path, monkeypatch, capsys, comma
     assert captured.out == ""
 
 
+MALFORMED_MODELS = {
+    "kind-only": lambda gate: '{"kind":"retrieval-gate"}',
+    "not-an-object": lambda gate: "[1]",
+    "scaler-without-std": lambda gate: json.dumps({**gate, "scaler": {"mean": gate["scaler"]["mean"]}}),
+    "nested-tree-layout": lambda gate: json.dumps({**gate, "members": [
+        {"family": "dtree", "state": {"params": {"max_depth": 3, "max_features": None, "criterion": "gini",
+                                                 "splitter": "best"}, "seed": 0, "tree": {"value": 0.5, "n": 4}}},
+        gate["members"][1],
+    ]}),
+    "deep-nesting": lambda gate: "[" * 100_000 + "]" * 100_000,
+}
+
+
+@pytest.mark.parametrize("command", ["evaluate", "serve"])
+@pytest.mark.parametrize("case", sorted(MALFORMED_MODELS))
+def test_malformed_model_fails_cleanly(world, tmp_path, monkeypatch, capsys, command, case):
+    with open(world["model"], encoding="utf-8") as fh:
+        gate = json.load(fh)
+    model = tmp_path / "model.json"
+    model.write_text(MALFORMED_MODELS[case](gate), encoding="utf-8")
+    monkeypatch.setattr("sys.stdin", io.StringIO('{"question": "who founded paris"}\n'))
+    args = ["--config", world["config"], "--model", str(model)]
+    if command == "evaluate":
+        args += ["--dataset", world["dataset"], "--features", world["features"], "--out", str(tmp_path / "out")]
+    assert main([command, *args]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ")
+    assert captured.err.count("\n") == 1
+    assert captured.out == ""
+
+
+def test_unknown_feature_group_in_model_fails_serve_cleanly(world, tmp_path, monkeypatch, capsys):
+    with open(world["model"], encoding="utf-8") as fh:
+        gate = json.load(fh)
+    gate["feature_groups"] = ["bogus"] * len(gate["feature_groups"])
+    model = tmp_path / "model.json"
+    model.write_text(json.dumps(gate), encoding="utf-8")
+    monkeypatch.setattr("sys.stdin", io.StringIO('{"question": "who founded paris"}\n'))
+    assert main(["serve", "--config", world["config"], "--model", str(model)]) == 1
+    assert capsys.readouterr().err == "error: unknown feature group 'bogus'\n"
+
+
 class TestServe:
     def _serve(self, world, payload, monkeypatch, capsys, extra=()):
         monkeypatch.setattr("sys.stdin", io.StringIO(payload))

@@ -23,7 +23,6 @@ from ragate.features import (
     frequency_features,
     graph_features,
     knowledgability_features,
-    knowledgability_prompt,
     popularity_features,
     question_type_features,
 )
@@ -208,12 +207,6 @@ class TestKnowledgability:
         stores = make_stores(**STORES)
         values = knowledgability_features(mentions_for(), stores.knowledgability, schema)
         assert values == pytest.approx((0.4, 0.8, 0.6), abs=1e-12)
-
-    def test_prompt_mentions_question_and_range(self):
-        prompt = knowledgability_prompt("who wrote dune")
-        assert "who wrote dune" in prompt
-        assert "0 to 100" in prompt
-        assert "'100'" in prompt
 
 
 class TestTextModelFeatures:

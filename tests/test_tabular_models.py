@@ -1,4 +1,8 @@
+import contextlib
+import json
 import math
+import sys
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -26,7 +30,7 @@ from ragate.tabular.base import balanced_class_weights, check_two_classes, resol
 from ragate.tabular.linear import loss_and_grad
 from ragate.tabular.mlp import layer_shapes, pack_params, unpack_params
 from ragate.tabular.neighbors import pairwise_distances
-from ragate.tabular.trees import laplace_leaf, resolve_max_features, tree_from_dict, tree_to_dict
+from ragate.tabular.trees import Tree, _best_split, _random_split, laplace_leaf, resolve_max_features
 
 
 def separable(n=80, d=4, seed=0, margin=1.0):
@@ -329,8 +333,10 @@ class TestDecisionTree:
         X = np.array([[1.0], [2.0], [10.0], [11.0]])
         y = np.array([0.0, 0.0, 1.0, 1.0])
         tree = grow_tree(X, y, criterion="gini")
-        assert tree.feature == 0
-        assert tree.threshold == pytest.approx(6.0)  # midpoint of 2 and 10
+        assert tree.feature[0] == 0
+        assert tree.threshold[0] == pytest.approx(6.0)  # midpoint of 2 and 10
+        assert tree.feature.tolist() == [0, -1, -1]
+        assert tree.n.tolist() == [4, 2, 2]
 
     def test_zero_training_error_on_consistent_data(self):
         X, y = noisy(n=150)
@@ -345,12 +351,13 @@ class TestDecisionTree:
 
     def test_max_depth_limits_tree(self):
         X, y = noisy(n=200)
-        def depth(node):
-            if node.is_leaf:
-                return 0
-            return 1 + max(depth(node.left), depth(node.right))
         model = DecisionTreeModel(max_depth=3, seed=0).fit(X, y)
-        assert depth(model.tree) <= 3
+        tree = model.tree
+        depth = np.zeros(tree.feature.size, dtype=int)
+        for node in np.flatnonzero(tree.feature >= 0):  # parents come before children
+            depth[[tree.left[node], tree.right[node]]] = depth[node] + 1
+        assert depth.max() <= 3
+        assert tree.depth == depth.max()
 
     def test_laplace_leaf_values(self):
         # weighted positives 2, total 4 -> (2+1)/(4+2)
@@ -383,14 +390,16 @@ class TestDecisionTree:
     def test_tree_round_trip(self):
         X, y = noisy(n=60)
         model = DecisionTreeModel(max_depth=4, seed=0).fit(X, y)
-        rebuilt = tree_from_dict(tree_to_dict(model.tree))
+        rebuilt = Tree.from_dict(json.loads(json.dumps(model.tree.to_dict())))
+        for name in ("feature", "threshold", "left", "right", "value", "n"):
+            assert np.array_equal(getattr(rebuilt, name), getattr(model.tree, name))
         assert np.array_equal(tree_predict(rebuilt, X), tree_predict(model.tree, X))
 
     def test_mse_criterion_regression_targets(self):
         X = np.array([[0.0], [1.0], [2.0], [3.0]])
         targets = np.array([1.0, 1.0, 5.0, 5.0])
         tree = grow_tree(X, targets, criterion="mse")
-        assert tree.threshold == pytest.approx(1.5)
+        assert tree.threshold[0] == pytest.approx(1.5)
         assert tree_predict(tree, np.array([[0.5]]))[0] == pytest.approx(1.0)
         assert tree_predict(tree, np.array([[9.0]]))[0] == pytest.approx(5.0)
 
@@ -458,6 +467,8 @@ class TestRandomForest:
         ).fit(X, y)
         first = tree_predict(model.trees[0], X)
         for tree in model.trees[1:]:
+            for name in ("feature", "threshold", "left", "right", "value", "n"):
+                assert np.array_equal(getattr(tree, name), getattr(model.trees[0], name))
             assert np.array_equal(tree_predict(tree, X), first)
         assert np.allclose(model.predict_proba(X), first, atol=1e-15)
 
@@ -573,3 +584,189 @@ class TestVoting:
         tree = DecisionTreeModel(max_depth=3, seed=0).fit(X, y)
         proba = VotingModel(families=("logreg", "dtree"), members=(lr, tree)).predict_proba(X)
         assert np.all((proba >= 0.0) & (proba <= 1.0))
+
+
+# ---------------------------------------------------------------------------
+# Array trees against the node-object grower and recursive router they
+# replaced, kept here verbatim as the reference.
+# ---------------------------------------------------------------------------
+
+
+class RefNode:
+    def __init__(self, value, n_samples):
+        self.value = value
+        self.n_samples = n_samples
+        self.feature = -1
+        self.threshold = 0.0
+        self.left = None
+        self.right = None
+
+    @property
+    def is_leaf(self):
+        return self.left is None
+
+
+def reference_grow_tree(X, targets, sample_weight=None, *, criterion="gini", splitter="best", max_depth=None,
+                        max_features=None, rng=None, leaf_value=None, min_samples_split=2):
+    X = np.asarray(X, dtype=np.float64)
+    targets = np.asarray(targets, dtype=np.float64)
+    if sample_weight is None:
+        sample_weight = np.ones(X.shape[0])
+    if leaf_value is None:
+        leaf_value = lambda idx: float(np.sum(sample_weight[idx] * targets[idx]) / np.sum(sample_weight[idx]))  # noqa: E731
+    max_feats = resolve_max_features(max_features, X.shape[1])
+    rng = rng if rng is not None else np.random.default_rng(0)
+
+    def grow(idx, depth):
+        node = RefNode(float(leaf_value(idx)), int(idx.size))
+        t = targets[idx]
+        if idx.size < min_samples_split or (max_depth is not None and depth >= max_depth) or np.all(t == t[0]):
+            return node
+        n_features = X.shape[1]
+        feats = rng.choice(n_features, size=max_feats, replace=False) if max_feats < n_features else np.arange(n_features)
+        w = sample_weight[idx]
+        best = None
+        for f in feats:
+            v = X[idx, f]
+            found = _best_split(v, t, w, criterion) if splitter == "best" else _random_split(v, t, w, criterion, rng)
+            if found is not None and (best is None or found[1] < best[2]):
+                best = (int(f), found[0], found[1])
+        if best is None:
+            return node
+        node.feature, node.threshold = best[0], best[1]
+        mask = X[idx, node.feature] <= node.threshold
+        node.left = grow(idx[mask], depth + 1)
+        node.right = grow(idx[~mask], depth + 1)
+        return node
+
+    return grow(np.arange(X.shape[0]), 0)
+
+
+def reference_tree_predict(node, X):
+    X = np.asarray(X, dtype=np.float64)
+    out = np.empty(X.shape[0])
+
+    def route(node, idx):
+        if idx.size == 0:
+            return
+        if node.is_leaf:
+            out[idx] = node.value
+            return
+        mask = X[idx, node.feature] <= node.threshold
+        route(node.left, idx[mask])
+        route(node.right, idx[~mask])
+
+    route(node, np.arange(X.shape[0]))
+    return out
+
+
+def reference_preorder(root):
+    """The reference tree's nodes as the six pre-order arrays."""
+    arrays = {name: [] for name in ("feature", "threshold", "left", "right", "value", "n")}
+    stack = [(root, None, None)]
+    while stack:
+        node, parent, side = stack.pop()
+        index = len(arrays["value"])
+        if parent is not None:
+            arrays[side][parent] = index
+        arrays["feature"].append(node.feature)
+        arrays["threshold"].append(node.threshold)
+        arrays["left"].append(-1)
+        arrays["right"].append(-1)
+        arrays["value"].append(node.value)
+        arrays["n"].append(node.n_samples)
+        if not node.is_leaf:
+            stack.append((node.right, index, "right"))
+            stack.append((node.left, index, "left"))
+    return arrays
+
+
+def reference_engine(*modules):
+    """Patch the node-object grower and router into the given model modules."""
+    stack = contextlib.ExitStack()
+    for module in modules:
+        stack.enter_context(mock.patch.object(module, "grow_tree", reference_grow_tree))
+        stack.enter_context(mock.patch.object(module, "tree_predict", reference_tree_predict))
+    return stack
+
+
+@st.composite
+def tree_problems(draw):
+    n = draw(st.integers(2, 40))
+    d = draw(st.integers(1, 4))
+    cell = st.integers(0, 3).map(float) if draw(st.booleans()) else st.floats(-5, 5, allow_nan=False)
+    X = np.array(draw(st.lists(cell, min_size=n * d, max_size=n * d))).reshape(n, d)
+    y = np.array(draw(st.lists(st.integers(0, 1), min_size=n, max_size=n)))
+    y[:2] = [0, 1]  # both classes, for the ensembles
+    params = {
+        "max_depth": draw(st.sampled_from([None, 1, 2, 3])),
+        "max_features": draw(st.sampled_from([None, "sqrt", "log2", 0.5, 1.0, 1, 2])),
+        "seed": draw(st.integers(0, 1000)),
+    }
+    return X, y, params, draw(st.sampled_from(["gini", "entropy"])), draw(st.sampled_from(["best", "random"]))
+
+
+def queries(X):
+    """Training rows, a NaN row (it must go right), and rows on the midpoints
+    of integer data, in batches on both scoring paths."""
+    odd = np.full((1, X.shape[1]), np.nan)
+    return [X, X[:1], odd, (X + 0.5)[:4], np.vstack([X, X, odd, X + 0.5])]
+
+
+class TestArrayTreesMatchReference:
+    @settings(max_examples=60, deadline=None)
+    @given(tree_problems(), st.sampled_from(["gini", "entropy", "mse"]), st.booleans())
+    def test_grow_tree_arrays(self, problem, criterion, weighted):
+        X, y, params, _, splitter = problem
+        targets = y + X[:, 0] * 0.25 if criterion == "mse" else y.astype(np.float64)
+        weights = np.where(y == 1, 2.5, 1.0) if weighted else np.ones(len(y))
+        leaf = None if criterion == "mse" else laplace_leaf(targets, weights)
+        kwargs = dict(criterion=criterion, splitter=splitter, max_depth=params["max_depth"],
+                      max_features=params["max_features"], leaf_value=leaf)
+        tree = grow_tree(X, targets, weights, rng=np.random.default_rng(params["seed"]), **kwargs)
+        root = reference_grow_tree(X, targets, weights, rng=np.random.default_rng(params["seed"]), **kwargs)
+        for name, values in reference_preorder(root).items():
+            assert np.array_equal(getattr(tree, name), np.array(values)), name
+        for Q in queries(X):
+            assert np.array_equal(tree_predict(tree, Q), reference_tree_predict(root, Q))
+
+    @settings(max_examples=40, deadline=None)
+    @given(tree_problems())
+    def test_model_probabilities(self, problem):
+        from ragate.tabular import boosting, forest, trees
+
+        X, y, params, criterion, splitter = problem
+        depth, feats, seed = params["max_depth"], params["max_features"], params["seed"]
+        models = [
+            lambda: DecisionTreeModel(depth, feats, criterion, splitter, seed=seed),
+            lambda: GradientBoostingModel(3, 0.3, depth, feats, seed=seed),
+            lambda: RandomForestModel(3, depth, feats, bool(seed % 2), criterion, "balanced" if seed % 3 else None, seed=seed),
+        ]
+        for make in models:
+            model = make().fit(X, y)
+            with reference_engine(trees, boosting, forest):
+                reference = make().fit(X, y)
+                expected = [reference.predict_proba(Q) for Q in queries(X)]
+            for Q, want in zip(queries(X), expected):
+                assert np.array_equal(model.predict_proba(Q), want), model.family
+            if model.family == "gboost":
+                assert model.train_loss_history == reference.train_loss_history
+
+
+class TestDeepTrees:
+    @pytest.mark.parametrize("n", [1200, 5000])
+    def test_staircase_fits_scores_and_round_trips(self, tmp_path, n):
+        from ragate.tabular import GateModel, fit_scaler, load_gate, save_gate
+
+        X = np.arange(float(n))[:, None]
+        y = np.arange(n) % 2
+        model = DecisionTreeModel(max_depth=None, seed=0).fit(X, y)
+        assert model.tree.depth > sys.getrecursionlimit()
+        proba = model.predict_proba(X)
+        assert np.array_equal(proba >= 0.5, y == 1)
+        gate = GateModel(("x",), ("g",), fit_scaler(X), VotingModel(("dtree", "dtree"), (model, model)))
+        save_gate(gate, tmp_path / "model.json")
+        loaded = load_gate(tmp_path / "model.json")
+        assert np.array_equal(loaded.predict_proba(X), gate.predict_proba(X))
+        for row in (0, n // 2, n - 1):
+            assert loaded.predict_proba(X[row : row + 1])[0] == gate.predict_proba(X)[row]

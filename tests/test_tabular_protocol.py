@@ -1,9 +1,12 @@
 """Selection protocol: grids, grid search, family ranking, gate artifacts."""
 
+import copy
 import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import outcome_record
 from ragate.tabular.base import (
@@ -471,3 +474,110 @@ class TestGateArtifact:
         save_gate(model, p2)
         assert p1.read_bytes() == p2.read_bytes()
         assert p1.read_bytes().endswith(b"\n")
+
+
+def _family_gates():
+    """Artifacts of small fitted gates that together hold all six families."""
+    from ragate.tabular import FAMILY_CLASSES, GateModel, VotingModel, fit_scaler
+
+    data, _ = planted_dataset(40, d=3, seed=2)
+    params = {"knn": {"n_neighbors": 3}, "mlp": {"hidden_layer_sizes": [4], "max_iter": 5},
+              "gboost": {"n_estimators": 3}, "rforest": {"n_estimators": 3, "max_depth": 3}}
+    gates = []
+    for pair in (("logreg", "dtree"), ("knn", "mlp"), ("gboost", "rforest")):
+        members = tuple(FAMILY_CLASSES[f](**params.get(f, {}), seed=0).fit(data.X, data.y) for f in pair)
+        model = GateModel(data.feature_names, ("g",) * 3, fit_scaler(data.X), VotingModel(pair, members))
+        gates.append(json.loads(json.dumps(gate_to_dict(model))))
+    return gates
+
+
+FAMILY_GATES = _family_gates()
+GATE_KEYS = ["kind", "feature_names", "feature_groups", "scaler", "mean", "std", "members", "family", "state",
+             "params", "seed", "tree", "trees", "feature", "threshold", "left", "right", "value", "n"]
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.integers(min_value=10**308, max_value=10**320)
+    | st.floats() | st.text(max_size=8) | st.sampled_from(GATE_KEYS),
+    lambda children: st.lists(children, max_size=4)
+    | st.dictionaries(st.sampled_from(GATE_KEYS) | st.text(max_size=8), children, max_size=4),
+    max_leaves=12,
+)
+
+
+@st.composite
+def damaged_gates(draw):
+    """A valid artifact with one value somewhere inside replaced or removed."""
+    gate = copy.deepcopy(draw(st.sampled_from(FAMILY_GATES)))
+    node = gate
+    while True:
+        key = draw(st.sampled_from(sorted(node) if isinstance(node, dict) else range(len(node))))
+        child = node[key]
+        if isinstance(child, (dict, list)) and child and draw(st.integers(0, 3)):
+            node = child
+            continue
+        if isinstance(node, dict) and draw(st.booleans()):
+            del node[key]
+        else:
+            node[key] = draw(JSON_VALUES)
+        return gate
+
+
+def _tree_state(gate):
+    """The dtree member's tree arrays in a (logreg, dtree) artifact."""
+    return gate["members"][1]["state"]["tree"]
+
+
+@pytest.mark.parametrize(
+    "damage, message",
+    [
+        (lambda g: g.update(members={"a": 1}), "'members' must be a list"),
+        (lambda g: g.pop("scaler"), "lacks 'scaler'"),
+        (lambda g: g["scaler"].pop("std"), "'mean' and 'std'"),
+        (lambda g: g["scaler"]["std"].pop(), "equal length"),
+        (lambda g: g["feature_groups"].pop(), "lengths disagree"),
+        (lambda g: g["members"][0].update(state=[1]), "'state' must be a dict"),
+        (lambda g: g["members"][0]["state"].pop("weights"), "invalid logreg member state: KeyError"),
+        (lambda g: g["members"][0]["state"]["weights"].pop(), "logreg weights do not fit 3 features"),
+        (lambda g: _tree_state(g)["n"].pop(), "equal length"),
+        (lambda g: _tree_state(g)["left"].__setitem__(0, 0), "not after its parent"),
+        (lambda g: _tree_state(g)["right"].__setitem__(0, 10**6), "out of range"),
+        (lambda g: _tree_state(g)["right"].__setitem__(0, 1), "exactly one parent"),
+        (lambda g: _tree_state(g)["feature"].__setitem__(0, 3), r"outside \[0, 3\)"),
+        (lambda g: _tree_state(g)["threshold"].__setitem__(0, float("nan")), "threshold must be finite"),
+        (lambda g: _tree_state(g)["value"].__setitem__(-1, float("inf")), "value must be finite"),
+        (lambda g: g["members"][1]["state"].update(tree={"value": 0.5, "n": 4}), "exactly the keys"),
+    ],
+)
+def test_malformed_artifact_raises_value_error(damage, message):
+    gate = copy.deepcopy(FAMILY_GATES[0])
+    assert _tree_state(gate)["feature"][0] >= 0  # the root splits, so the tree edits hit an internal node
+    damage(gate)
+    with pytest.raises(ValueError, match=message):
+        gate_from_dict(gate)
+
+
+@pytest.mark.parametrize("member", [0, 1])
+def test_ensemble_without_trees_raises_value_error(member):
+    gate = copy.deepcopy(FAMILY_GATES[2])  # gboost + rforest
+    gate["members"][member]["state"]["trees"] = []
+    with pytest.raises(ValueError, match="holds no trees"):
+        gate_from_dict(gate)
+
+
+def test_too_deeply_nested_artifact_raises_value_error(tmp_path):
+    path = tmp_path / "model.json"
+    path.write_text("[" * 100_000 + "]" * 100_000, encoding="utf-8")
+    with pytest.raises(ValueError, match="nested too deeply"):
+        load_gate(path)
+
+
+@settings(max_examples=300, deadline=None)
+@given(obj=st.one_of(JSON_VALUES, st.dictionaries(st.sampled_from(GATE_KEYS), JSON_VALUES, max_size=5), damaged_gates()))
+def test_gate_from_dict_raises_only_value_error(obj):
+    try:
+        gate = gate_from_dict(obj)
+    except ValueError:
+        return
+    # Whatever loads must also score, one row and a batch.
+    rows = np.random.default_rng(0).normal(size=(20, len(gate.feature_names)))
+    gate.predict_proba(rows[:1])
+    gate.predict_proba(rows)
