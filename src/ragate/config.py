@@ -205,6 +205,15 @@ def load_config(path) -> RunConfig:
         raise ConfigError(f"cost_model is invalid: {exc}") from exc
 
     threshold = check_threshold(_number(raw, "threshold", 0.5, float))
+    val_size = _number(raw, "val_size", 100, int)
+    if val_size < 1:
+        raise ConfigError(f"val_size must be >= 1, got {val_size}")
+    context_norm = _number(feats, "context_norm", DEFAULT_CONTEXT_NORM, float)
+    if not context_norm > 0:
+        raise ConfigError(f"context_norm must be > 0, got {context_norm}")
+    importance_repeats = _number(raw, "importance_repeats", 20, int)
+    if importance_repeats < 0:
+        raise ConfigError(f"importance_repeats must be >= 0, got {importance_repeats}")
     out_dir = raw.get("out_dir")
     if out_dir is not None:
         _path_string(out_dir, "out_dir")
@@ -219,14 +228,14 @@ def load_config(path) -> RunConfig:
         include_context_length=include_context_length,
         knowledgability_aggregates=_string_list(feats, "knowledgability_aggregates", ("mean",)),
         override_features=_string_list(feats, "override_features", ()),
-        context_norm=_number(feats, "context_norm", DEFAULT_CONTEXT_NORM, float),
+        context_norm=context_norm,
         grids_path=resolve(raw["grids"], "grids") if raw.get("grids") else None,
         cost_model=cost_model,
         references=tuple(references),
         seed=_number(raw, "seed", 0, int),
         threshold=threshold,
-        val_size=_number(raw, "val_size", 100, int),
-        importance_repeats=_number(raw, "importance_repeats", 20, int),
+        val_size=val_size,
+        importance_repeats=importance_repeats,
         out_dir=out_dir,
     )
 

@@ -1,17 +1,11 @@
 """Native classifier suite for the "retrieval needed" prediction task."""
 
-from .base import (
-    FAMILY_ORDER,
-    DegenerateData,
-    EmptyGrid,
-    InvalidHyperparameter,
-    ModelSpec,
-    TabularDataset,
-)
+from .base import DegenerateData, EmptyGrid, InvalidHyperparameter, TabularDataset
 from .boosting import GradientBoostingModel, logistic_loss
 from .forest import RandomForestModel
 from .grids import (
     FAMILY_CLASSES,
+    FAMILY_ORDER,
     canonical_key,
     expand_grid,
     expanded_family_grids,
@@ -44,7 +38,6 @@ __all__ = [
     "DegenerateData",
     "EmptyGrid",
     "InvalidHyperparameter",
-    "ModelSpec",
     "TabularDataset",
     "Scaler",
     "fit_scaler",

@@ -2,7 +2,8 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import inspect
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -17,9 +18,6 @@ class InvalidHyperparameter(Exception):
 
 class EmptyGrid(Exception):
     """Grid search was asked to search zero candidate settings."""
-
-
-FAMILY_ORDER = ("logreg", "knn", "mlp", "dtree", "gboost", "rforest")
 
 
 @dataclass(frozen=True)
@@ -54,15 +52,43 @@ class TabularDataset:
         return TabularDataset(self.X[idx], self.y[idx], self.feature_names)
 
 
-@dataclass(frozen=True)
-class ModelSpec:
-    family: str
-    params: dict = field(default_factory=dict)
-    seed: int = 0
+class Family:
+    """A classifier family, declared by its constructor.
 
-    def __post_init__(self):
-        if self.family not in FAMILY_ORDER:
-            raise InvalidHyperparameter(f"unknown family {self.family!r}")
+    The keywords of a subclass's ``__init__`` other than ``seed`` are its
+    hyperparameters (``PARAMS``, in declaration order); the constructor keeps
+    each one as the attribute of the same name. A subclass writes ``fit``,
+    ``predict_proba`` and two hooks for its fitted state: ``_state()`` gives
+    the JSON fields beside ``params`` and ``seed``, and
+    ``_load(obj, n_features)`` reads them back, raising ``ValueError`` for
+    state that does not fit ``n_features`` columns.
+    """
+
+    family: str
+    PARAMS: tuple[str, ...] = ()
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        cls.PARAMS = tuple(name for name in inspect.signature(cls.__init__).parameters if name not in ("self", "seed"))
+
+    def get_params(self) -> dict:
+        return {name: getattr(self, name) for name in self.PARAMS}
+
+    def to_dict(self) -> dict:
+        return {"params": self.get_params(), "seed": self.seed, **self._state()}
+
+    @classmethod
+    def from_dict(cls, obj: dict, n_features: int | None = None):
+        model = cls(**obj["params"], seed=obj["seed"])
+        model._load(obj, n_features)
+        return model
+
+
+def check_choice(name: str, value, choices: tuple):
+    """``value`` if it is one of ``choices``; InvalidHyperparameter naming ``name`` otherwise."""
+    if value not in choices:
+        raise InvalidHyperparameter(f"{name} must be one of {choices}, got {value!r}")
+    return value
 
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:

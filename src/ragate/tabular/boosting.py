@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .base import InvalidHyperparameter, _sigmoid, check_two_classes
+from .base import Family, InvalidHyperparameter, _sigmoid, check_two_classes
 from .trees import Tree, grow_tree, tree_predict
 
 _LEAF_EPS = 1e-12
@@ -16,9 +16,8 @@ def logistic_loss(raw: np.ndarray, y: np.ndarray) -> float:
     return float(np.mean(np.logaddexp(0.0, -y_pm * raw)))
 
 
-class GradientBoostingModel:
+class GradientBoostingModel(Family):
     family = "gboost"
-    PARAMS = frozenset({"n_estimators", "learning_rate", "max_depth", "max_features"})
 
     def __init__(self, n_estimators: int = 50, learning_rate: float = 0.05, max_depth: int = 3, max_features=None, seed: int = 0):
         if n_estimators < 1:
@@ -33,14 +32,6 @@ class GradientBoostingModel:
         self.base_score: float = 0.0
         self.trees: list = []
         self.train_loss_history: list[float] = []
-
-    def get_params(self) -> dict:
-        return {
-            "n_estimators": self.n_estimators,
-            "learning_rate": self.learning_rate,
-            "max_depth": self.max_depth,
-            "max_features": self.max_features,
-        }
 
     def fit(self, X: np.ndarray, y: np.ndarray) -> "GradientBoostingModel":
         X = np.asarray(X, dtype=np.float64)
@@ -87,21 +78,16 @@ class GradientBoostingModel:
             raise RuntimeError("model is not fitted")
         return _sigmoid(self.decision_function(X))
 
-    def to_dict(self) -> dict:
+    def _state(self) -> dict:
         return {
-            "params": self.get_params(),
-            "seed": self.seed,
             "base_score": self.base_score,
             "trees": [t.to_dict() for t in self.trees],
             "train_loss_history": self.train_loss_history,
         }
 
-    @classmethod
-    def from_dict(cls, obj: dict, n_features: int | None = None) -> "GradientBoostingModel":
-        model = cls(**obj["params"], seed=obj["seed"])
-        model.base_score = float(obj["base_score"])
-        model.trees = [Tree.from_dict(t, n_features) for t in obj["trees"]]
-        if not model.trees:
+    def _load(self, obj: dict, n_features: int | None) -> None:
+        self.base_score = float(obj["base_score"])
+        self.trees = [Tree.from_dict(t, n_features) for t in obj["trees"]]
+        if not self.trees:
             raise ValueError("gboost state holds no trees")
-        model.train_loss_history = [float(v) for v in obj.get("train_loss_history", [])]
-        return model
+        self.train_loss_history = [float(v) for v in obj.get("train_loss_history", [])]

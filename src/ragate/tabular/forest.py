@@ -4,15 +4,12 @@ from __future__ import annotations
 
 import numpy as np
 
-from .base import InvalidHyperparameter, check_two_classes, resolve_sample_weights
-from .trees import Tree, grow_tree, laplace_leaf, tree_predict
-
-_CRITERIA = ("gini", "entropy")
+from .base import Family, InvalidHyperparameter, check_choice, check_two_classes, resolve_sample_weights
+from .trees import _CRITERIA_CLS, Tree, grow_tree, laplace_leaf, tree_predict
 
 
-class RandomForestModel:
+class RandomForestModel(Family):
     family = "rforest"
-    PARAMS = frozenset({"n_estimators", "max_depth", "max_features", "bootstrap", "criterion", "class_weight"})
 
     def __init__(
         self,
@@ -26,28 +23,16 @@ class RandomForestModel:
     ):
         if n_estimators < 1:
             raise InvalidHyperparameter(f"n_estimators must be >= 1, got {n_estimators}")
-        if criterion not in _CRITERIA:
-            raise InvalidHyperparameter(f"criterion must be one of {_CRITERIA}, got {criterion!r}")
+        self.criterion = check_choice("criterion", criterion, _CRITERIA_CLS)
         if not isinstance(bootstrap, bool):
             raise InvalidHyperparameter(f"bootstrap must be boolean, got {bootstrap!r}")
         self.n_estimators = int(n_estimators)
         self.max_depth = max_depth
         self.max_features = max_features
         self.bootstrap = bootstrap
-        self.criterion = criterion
         self.class_weight = class_weight
         self.seed = seed
         self.trees: list = []
-
-    def get_params(self) -> dict:
-        return {
-            "n_estimators": self.n_estimators,
-            "max_depth": self.max_depth,
-            "max_features": self.max_features,
-            "bootstrap": self.bootstrap,
-            "criterion": self.criterion,
-            "class_weight": self.class_weight,
-        }
 
     def fit(self, X: np.ndarray, y: np.ndarray) -> "RandomForestModel":
         X = np.asarray(X, dtype=np.float64)
@@ -86,21 +71,10 @@ class RandomForestModel:
         votes = np.stack([tree_predict(t, X) for t in self.trees])
         return votes.mean(axis=0)
 
-    def to_dict(self) -> dict:
-        return {
-            "params": self.get_params(),
-            "seed": self.seed,
-            "trees": [t.to_dict() for t in self.trees],
-        }
+    def _state(self) -> dict:
+        return {"trees": [t.to_dict() for t in self.trees]}
 
-    @classmethod
-    def from_dict(cls, obj: dict, n_features: int | None = None) -> "RandomForestModel":
-        params = dict(obj["params"])
-        cw = params.get("class_weight")
-        if isinstance(cw, dict):
-            params["class_weight"] = {int(k): float(v) for k, v in cw.items()}
-        model = cls(**params, seed=obj["seed"])
-        model.trees = [Tree.from_dict(t, n_features) for t in obj["trees"]]
-        if not model.trees:
+    def _load(self, obj: dict, n_features: int | None) -> None:
+        self.trees = [Tree.from_dict(t, n_features) for t in obj["trees"]]
+        if not self.trees:
             raise ValueError("rforest state holds no trees")
-        return model

@@ -14,7 +14,7 @@ from importlib import resources
 
 import yaml
 
-from .base import FAMILY_ORDER, EmptyGrid, InvalidHyperparameter
+from .base import EmptyGrid, InvalidHyperparameter
 from .boosting import GradientBoostingModel
 from .forest import RandomForestModel
 from .linear import LogisticRegressionModel
@@ -22,14 +22,12 @@ from .mlp import MLPModel
 from .neighbors import KNNModel
 from .trees import DecisionTreeModel
 
+# The fixed family order breaks ties between families and orders expanded grids.
 FAMILY_CLASSES = {
-    "logreg": LogisticRegressionModel,
-    "knn": KNNModel,
-    "mlp": MLPModel,
-    "dtree": DecisionTreeModel,
-    "gboost": GradientBoostingModel,
-    "rforest": RandomForestModel,
+    cls.family: cls
+    for cls in (LogisticRegressionModel, KNNModel, MLPModel, DecisionTreeModel, GradientBoostingModel, RandomForestModel)
 }
+FAMILY_ORDER = tuple(FAMILY_CLASSES)
 
 _CATBOOST_PARAM_MAP = {"iterations": "n_estimators", "learning_rate": "learning_rate", "depth": "max_depth"}
 
@@ -46,26 +44,39 @@ def load_raw_grids(path=None) -> dict:
     else:
         with open(path, encoding="utf-8") as fh:
             text = fh.read()
-    raw = yaml.safe_load(text)
+    try:
+        raw = yaml.safe_load(text)
+    except yaml.YAMLError as exc:
+        raise InvalidHyperparameter(f"grid config is not valid YAML: {exc}") from None
+    except RecursionError:
+        raise InvalidHyperparameter("grid config is not valid YAML: nested too deeply") from None
     if not isinstance(raw, dict):
         raise InvalidHyperparameter("grid config must be a mapping of family -> parameter lists")
     validate_grids(raw)
     return raw
 
 
+def family_class(family: str, names) -> type:
+    """The class of ``family``, after checking that it takes every hyperparameter in ``names``."""
+    if family not in FAMILY_CLASSES:
+        raise InvalidHyperparameter(f"unknown classifier family {family!r}")
+    unknown = [name for name in names if name not in FAMILY_CLASSES[family].PARAMS]
+    if unknown:
+        raise InvalidHyperparameter(f"{family} does not take {unknown}")
+    return FAMILY_CLASSES[family]
+
+
 def validate_grids(raw: dict) -> None:
     for family, grid in raw.items():
-        if family == "catboost":
-            allowed = set(_CATBOOST_PARAM_MAP)
-        elif family in FAMILY_CLASSES:
-            allowed = set(FAMILY_CLASSES[family].PARAMS)
-        else:
-            raise InvalidHyperparameter(f"unknown classifier family {family!r} in grid config")
         if not isinstance(grid, dict) or not grid:
             raise InvalidHyperparameter(f"grid for {family!r} must be a non-empty mapping")
+        if family == "catboost":
+            unknown = [name for name in grid if name not in _CATBOOST_PARAM_MAP]
+            if unknown:
+                raise InvalidHyperparameter(f"catboost does not take {unknown}")
+        else:
+            family_class(family, grid)
         for name, values in grid.items():
-            if name not in allowed:
-                raise InvalidHyperparameter(f"{family} grid names unknown hyperparameter {name!r}")
             if isinstance(values, list) and not values:
                 raise InvalidHyperparameter(f"{family}.{name} lists no candidate values")
 

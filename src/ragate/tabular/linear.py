@@ -10,7 +10,7 @@ from __future__ import annotations
 import numpy as np
 from scipy import optimize
 
-from .base import InvalidHyperparameter, _sigmoid, check_two_classes, resolve_sample_weights
+from .base import Family, InvalidHyperparameter, _sigmoid, check_choice, check_two_classes, resolve_sample_weights
 
 _SOLVERS = ("lbfgs", "liblinear")
 
@@ -33,30 +33,19 @@ def loss_and_grad(params: np.ndarray, X: np.ndarray, y_pm: np.ndarray, C: float,
     return loss, grad
 
 
-class LogisticRegressionModel:
+class LogisticRegressionModel(Family):
     family = "logreg"
-    PARAMS = frozenset({"C", "solver", "class_weight", "max_iter"})
 
     def __init__(self, C: float = 1.0, solver: str = "lbfgs", class_weight=None, max_iter: int = 10000, seed: int = 0):
-        if solver not in _SOLVERS:
-            raise InvalidHyperparameter(f"solver must be one of {_SOLVERS}, got {solver!r}")
+        self.solver = check_choice("solver", solver, _SOLVERS)
         if not C > 0:
             raise InvalidHyperparameter(f"C must be positive, got {C}")
         self.C = float(C)
-        self.solver = solver
         self.class_weight = class_weight
         self.max_iter = int(max_iter)
         self.seed = seed
         self.weights: np.ndarray | None = None
         self.bias: float = 0.0
-
-    def get_params(self) -> dict:
-        return {
-            "C": self.C,
-            "solver": self.solver,
-            "class_weight": self.class_weight,
-            "max_iter": self.max_iter,
-        }
 
     def fit(self, X: np.ndarray, y: np.ndarray) -> "LogisticRegressionModel":
         X = np.asarray(X, dtype=np.float64)
@@ -82,19 +71,11 @@ class LogisticRegressionModel:
             raise RuntimeError("model is not fitted")
         return _sigmoid(np.asarray(X, dtype=np.float64) @ self.weights + self.bias)
 
-    def to_dict(self) -> dict:
-        return {
-            "params": self.get_params(),
-            "seed": self.seed,
-            "weights": [float(v) for v in self.weights],
-            "bias": self.bias,
-        }
+    def _state(self) -> dict:
+        return {"weights": [float(v) for v in self.weights], "bias": self.bias}
 
-    @classmethod
-    def from_dict(cls, obj: dict, n_features: int | None = None) -> "LogisticRegressionModel":
-        model = cls(**obj["params"], seed=obj["seed"])
-        model.weights = np.asarray(obj["weights"], dtype=np.float64)
-        model.bias = float(obj["bias"])
-        if model.weights.ndim != 1 or n_features not in (None, model.weights.size):
+    def _load(self, obj: dict, n_features: int | None) -> None:
+        self.weights = np.asarray(obj["weights"], dtype=np.float64)
+        self.bias = float(obj["bias"])
+        if self.weights.ndim != 1 or n_features not in (None, self.weights.size):
             raise ValueError(f"logreg weights do not fit {n_features} features")
-        return model

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .base import DegenerateData, InvalidHyperparameter, _sigmoid, check_two_classes
+from .base import DegenerateData, Family, InvalidHyperparameter, _sigmoid, check_choice, check_two_classes
 
 _ACTIVATIONS = ("relu", "tanh")
 _SOLVERS = ("adam", "sgd")
@@ -87,11 +87,8 @@ def mlp_loss_and_grad(flat: np.ndarray, shapes, X: np.ndarray, y: np.ndarray, al
     return loss, pack_params(grads)
 
 
-class MLPModel:
+class MLPModel(Family):
     family = "mlp"
-    PARAMS = frozenset(
-        {"hidden_layer_sizes", "activation", "solver", "alpha", "learning_rate", "early_stopping", "max_iter"}
-    )
 
     def __init__(
         self,
@@ -104,38 +101,21 @@ class MLPModel:
         max_iter: int = 200,
         seed: int = 0,
     ):
-        if activation not in _ACTIVATIONS:
-            raise InvalidHyperparameter(f"activation must be one of {_ACTIVATIONS}, got {activation!r}")
-        if solver not in _SOLVERS:
-            raise InvalidHyperparameter(f"solver must be one of {_SOLVERS}, got {solver!r}")
-        if learning_rate not in _LR_SCHEDULES:
-            raise InvalidHyperparameter(f"learning_rate must be one of {_LR_SCHEDULES}, got {learning_rate!r}")
+        self.activation = check_choice("activation", activation, _ACTIVATIONS)
+        self.solver = check_choice("solver", solver, _SOLVERS)
+        self.learning_rate = check_choice("learning_rate", learning_rate, _LR_SCHEDULES)
         sizes = tuple(int(h) for h in hidden_layer_sizes)
         if not sizes or any(h < 1 for h in sizes):
             raise InvalidHyperparameter(f"hidden_layer_sizes must be positive, got {hidden_layer_sizes!r}")
         if alpha < 0:
             raise InvalidHyperparameter(f"alpha must be >= 0, got {alpha}")
         self.hidden_layer_sizes = sizes
-        self.activation = activation
-        self.solver = solver
         self.alpha = float(alpha)
-        self.learning_rate = learning_rate
         self.early_stopping = bool(early_stopping)
         self.max_iter = int(max_iter)
         self.seed = seed
         self.flat: np.ndarray | None = None
         self.shapes: list[tuple[int, int]] | None = None
-
-    def get_params(self) -> dict:
-        return {
-            "hidden_layer_sizes": self.hidden_layer_sizes,
-            "activation": self.activation,
-            "solver": self.solver,
-            "alpha": self.alpha,
-            "learning_rate": self.learning_rate,
-            "early_stopping": self.early_stopping,
-            "max_iter": self.max_iter,
-        }
 
     def _init_params(self, rng, shapes) -> np.ndarray:
         layers = []
@@ -227,22 +207,14 @@ class MLPModel:
             raise RuntimeError("model is not fitted")
         return _sigmoid(forward_logits(self.flat, self.shapes, np.asarray(X, dtype=np.float64), self.activation))
 
-    def to_dict(self) -> dict:
-        return {
-            "params": self.get_params(),
-            "seed": self.seed,
-            "shapes": [list(s) for s in self.shapes],
-            "flat": [float(v) for v in self.flat],
-        }
+    def _state(self) -> dict:
+        return {"shapes": [list(s) for s in self.shapes], "flat": [float(v) for v in self.flat]}
 
-    @classmethod
-    def from_dict(cls, obj: dict, n_features: int | None = None) -> "MLPModel":
-        model = cls(**obj["params"], seed=obj["seed"])
-        model.shapes = [tuple(s) for s in obj["shapes"]]
-        model.flat = np.asarray(obj["flat"], dtype=np.float64)
-        width = model.shapes[0][0] if n_features is None else n_features
-        expected = layer_shapes(width, model.hidden_layer_sizes)
-        if model.shapes != expected or model.flat.shape != (sum(i * o + o for i, o in expected),):
+    def _load(self, obj: dict, n_features: int | None) -> None:
+        self.shapes = [tuple(s) for s in obj["shapes"]]
+        self.flat = np.asarray(obj["flat"], dtype=np.float64)
+        width = self.shapes[0][0] if n_features is None else n_features
+        expected = layer_shapes(width, self.hidden_layer_sizes)
+        if self.shapes != expected or self.flat.shape != (sum(i * o + o for i, o in expected),):
             raise ValueError(f"mlp weights do not fit {n_features} features")
-        model.shapes = expected
-        return model
+        self.shapes = expected

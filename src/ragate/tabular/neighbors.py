@@ -35,7 +35,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .base import InvalidHyperparameter
+from .base import Family, InvalidHyperparameter, check_choice
 
 _METRICS = ("euclidean", "manhattan")
 # Tree-based index names accepted for grid compatibility; search is always exact.
@@ -89,15 +89,6 @@ def _distance_blocks(X: np.ndarray, T: np.ndarray, metric: str):
         yield start, _block_distances(X[start : start + _BLOCK], T, metric)
 
 
-def pairwise_distances(A: np.ndarray, B: np.ndarray, metric: str) -> np.ndarray:
-    A = np.asarray(A, dtype=np.float64)
-    T = np.ascontiguousarray(np.asarray(B, dtype=np.float64).T)
-    out = np.empty((A.shape[0], T.shape[1]))
-    for start, dist in _distance_blocks(A, T, metric):
-        out[start : start + dist.shape[0]] = dist
-    return out
-
-
 def _nearest(dist: np.ndarray, k: int) -> np.ndarray:
     """Per row, the first k columns of ``np.argsort(dist, kind="stable")``."""
     part = np.argpartition(dist, k - 1, axis=1)[:, :k]
@@ -112,35 +103,20 @@ def _nearest(dist: np.ndarray, k: int) -> np.ndarray:
     return cand
 
 
-class KNNModel:
+class KNNModel(Family):
     family = "knn"
-    PARAMS = frozenset({"n_neighbors", "metric", "algorithm", "weights"})
 
     def __init__(self, n_neighbors: int = 5, metric: str = "euclidean", algorithm: str = "auto", weights: str = "uniform", seed: int = 0):
-        if metric not in _METRICS:
-            raise InvalidHyperparameter(f"metric must be one of {_METRICS}, got {metric!r}")
-        if algorithm not in _ALGORITHMS:
-            raise InvalidHyperparameter(f"algorithm must be one of {_ALGORITHMS}, got {algorithm!r}")
-        if weights not in _WEIGHTS:
-            raise InvalidHyperparameter(f"weights must be one of {_WEIGHTS}, got {weights!r}")
+        self.metric = check_choice("metric", metric, _METRICS)
+        self.algorithm = check_choice("algorithm", algorithm, _ALGORITHMS)
+        self.weights = check_choice("weights", weights, _WEIGHTS)
         if n_neighbors < 1:
             raise InvalidHyperparameter(f"n_neighbors must be >= 1, got {n_neighbors}")
         self.n_neighbors = int(n_neighbors)
-        self.metric = metric
-        self.algorithm = algorithm
-        self.weights = weights
         self.seed = seed
         self.train_X: np.ndarray | None = None
         self.train_y: np.ndarray | None = None
         self._train_T: np.ndarray | None = None
-
-    def get_params(self) -> dict:
-        return {
-            "n_neighbors": self.n_neighbors,
-            "metric": self.metric,
-            "algorithm": self.algorithm,
-            "weights": self.weights,
-        }
 
     def _set_train(self, X, y) -> None:
         self.train_X = np.asarray(X, dtype=np.float64)
@@ -186,19 +162,14 @@ class KNNModel:
         probs[coincident] = np.where(zero, labels[coincident], 0).sum(axis=1) / zero.sum(axis=1)
         return probs
 
-    def to_dict(self) -> dict:
+    def _state(self) -> dict:
         return {
-            "params": self.get_params(),
-            "seed": self.seed,
             "train_X": [[float(v) for v in row] for row in self.train_X],
             "train_y": [int(v) for v in self.train_y],
         }
 
-    @classmethod
-    def from_dict(cls, obj: dict, n_features: int | None = None) -> "KNNModel":
-        model = cls(**obj["params"], seed=obj["seed"])
-        model._set_train(obj["train_X"], obj["train_y"])
-        rows, width = model.train_X.shape if model.train_X.ndim == 2 else (0, None)
-        if rows == 0 or model.train_y.shape != (rows,) or n_features not in (None, width):
+    def _load(self, obj: dict, n_features: int | None) -> None:
+        self._set_train(obj["train_X"], obj["train_y"])
+        rows, width = self.train_X.shape if self.train_X.ndim == 2 else (0, None)
+        if rows == 0 or self.train_y.shape != (rows,) or n_features not in (None, width):
             raise ValueError(f"knn training rows do not fit {n_features} features")
-        return model

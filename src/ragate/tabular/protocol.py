@@ -15,29 +15,22 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..core import answer_outcomes, in_accuracy
-from .base import (
-    FAMILY_ORDER,
-    DegenerateData,
-    EmptyGrid,
-    InvalidHyperparameter,
-    ModelSpec,
-    TabularDataset,
-)
-from .grids import FAMILY_CLASSES, canonical_key
+from .base import DegenerateData, EmptyGrid, InvalidHyperparameter, TabularDataset
+from .grids import FAMILY_CLASSES, FAMILY_ORDER, canonical_key, family_class
 from .scaler import Scaler, fit_scaler, scaler_from_dict, scaler_to_dict, transform
 from .voting import VotingModel
 
 SELECTION_THRESHOLD = 0.5
 
 
-def train(spec: ModelSpec, data: TabularDataset):
-    """Fit one family member; unknown hyperparameter names are rejected."""
-    cls = FAMILY_CLASSES[spec.family]
-    unknown = set(spec.params) - set(cls.PARAMS)
-    if unknown:
-        raise InvalidHyperparameter(f"{spec.family} does not take {sorted(unknown)}")
-    model = cls(**spec.params, seed=spec.seed)
-    return model.fit(data.X, data.y)
+def train(family: str, params: dict, seed: int, data: TabularDataset):
+    """Fit one family member. An unknown family, a hyperparameter the family
+    does not take and a value of the wrong type raise InvalidHyperparameter."""
+    cls = family_class(family, params)
+    try:
+        return cls(**params, seed=seed).fit(data.X, data.y)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise InvalidHyperparameter(f"{family} setting {canonical_key(params)} is invalid: {exc}") from None
 
 
 @dataclass(frozen=True)
@@ -81,7 +74,7 @@ def grid_search(family: str, grid_points: list[dict], train_data: TabularDataset
     for params in grid_points:
         scores = []
         for seed in seeds:
-            model = train(ModelSpec(family=family, params=params, seed=int(seed)), train_data)
+            model = train(family, params, int(seed), train_data)
             scores.append(selection_in_accuracy(model.predict_proba(val.data.X), val))
         mean_score = float(np.mean(scores))
         key = canonical_key(params)
@@ -116,12 +109,14 @@ def end_to_end_train(
     """Run the full selection protocol and return the fitted gate.
 
     ``records`` align with ``data`` rows and provide the stored answers the
-    validation metric scores against. Needs at least val_size + 20 rows and
-    at least two families in the grids.
+    validation metric scores against. Needs val_size >= 1, at least
+    val_size + 20 rows and at least two families in the grids.
     """
     n = data.n
     if len(records) != n:
         raise ValueError(f"{len(records)} records for {n} feature rows")
+    if val_size < 1:
+        raise DegenerateData(f"val_size must be >= 1, got {val_size}")
     if n < val_size + 20:
         raise DegenerateData(f"need at least {val_size + 20} rows for a {val_size}-row validation split, got {n}")
     families = [f for f in FAMILY_ORDER if f in grids_by_family]
@@ -146,9 +141,7 @@ def end_to_end_train(
     selected = ranking[:2]
 
     full_data = TabularDataset(X_scaled, data.y, data.feature_names)
-    members = tuple(
-        train(ModelSpec(family=f, params=results[f].best_params, seed=master_seed), full_data) for f in selected
-    )
+    members = tuple(train(f, results[f].best_params, master_seed, full_data) for f in selected)
     voting = VotingModel(families=tuple(selected), members=members)
 
     provenance = {

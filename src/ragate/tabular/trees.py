@@ -32,7 +32,7 @@ import math
 import numpy as np
 from scipy.special import xlogy
 
-from .base import InvalidHyperparameter
+from .base import Family, InvalidHyperparameter, check_choice
 
 _CRITERIA_CLS = ("gini", "entropy")
 _SPLITTERS = ("best", "random")
@@ -219,8 +219,7 @@ def grow_tree(
     """
     if criterion not in _CRITERIA_CLS + ("mse",):
         raise InvalidHyperparameter(f"unknown criterion {criterion!r}")
-    if splitter not in _SPLITTERS:
-        raise InvalidHyperparameter(f"splitter must be one of {_SPLITTERS}, got {splitter!r}")
+    check_choice("splitter", splitter, _SPLITTERS)
     if max_depth is not None and max_depth < 1:
         raise InvalidHyperparameter(f"max_depth must be >= 1 or None, got {max_depth}")
     X = np.asarray(X, dtype=np.float64)
@@ -313,27 +312,16 @@ def laplace_leaf(targets: np.ndarray, weights: np.ndarray):
     return leaf_value
 
 
-class DecisionTreeModel:
+class DecisionTreeModel(Family):
     family = "dtree"
-    PARAMS = frozenset({"max_depth", "max_features", "criterion", "splitter"})
 
     def __init__(self, max_depth=None, max_features=None, criterion: str = "gini", splitter: str = "best", seed: int = 0):
-        if criterion not in _CRITERIA_CLS:
-            raise InvalidHyperparameter(f"criterion must be one of {_CRITERIA_CLS}, got {criterion!r}")
+        self.criterion = check_choice("criterion", criterion, _CRITERIA_CLS)
         self.max_depth = max_depth
         self.max_features = max_features
-        self.criterion = criterion
         self.splitter = splitter
         self.seed = seed
         self.tree: Tree | None = None
-
-    def get_params(self) -> dict:
-        return {
-            "max_depth": self.max_depth,
-            "max_features": self.max_features,
-            "criterion": self.criterion,
-            "splitter": self.splitter,
-        }
 
     def fit(self, X: np.ndarray, y: np.ndarray, sample_weight: np.ndarray | None = None) -> "DecisionTreeModel":
         X = np.asarray(X, dtype=np.float64)
@@ -358,11 +346,8 @@ class DecisionTreeModel:
             raise RuntimeError("model is not fitted")
         return tree_predict(self.tree, X)
 
-    def to_dict(self) -> dict:
-        return {"params": self.get_params(), "seed": self.seed, "tree": self.tree.to_dict()}
+    def _state(self) -> dict:
+        return {"tree": self.tree.to_dict()}
 
-    @classmethod
-    def from_dict(cls, obj: dict, n_features: int | None = None) -> "DecisionTreeModel":
-        model = cls(**obj["params"], seed=obj["seed"])
-        model.tree = Tree.from_dict(obj["tree"], n_features)
-        return model
+    def _load(self, obj: dict, n_features: int | None) -> None:
+        self.tree = Tree.from_dict(obj["tree"], n_features)

@@ -90,11 +90,6 @@ def featurize_many(texts: list[str], dim: int) -> sparse.csr_matrix:
     )
 
 
-def featurize(text: str, dim: int) -> sparse.csr_matrix:
-    """Hashed unigram+bigram count vector, shape (1, dim)."""
-    return featurize_many([text], dim)
-
-
 def _softmax(logits: np.ndarray) -> np.ndarray:
     shifted = logits - logits.max(axis=1, keepdims=True)
     exp = np.exp(shifted)

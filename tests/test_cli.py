@@ -407,6 +407,84 @@ class TestEvaluate:
         assert "schema" in capsys.readouterr().err
 
 
+def _variant_config(world, tmp_path, **changes):
+    """The world's config, written under tmp_path with absolute paths and ``changes`` applied."""
+    root = world["root"]
+    with open(world["config"], encoding="utf-8") as fh:
+        raw = yaml.safe_load(fh)
+    raw["stores"] = {kind: str(root / path) for kind, path in raw["stores"].items()}
+    raw["gazetteer"] = str(root / raw["gazetteer"])
+    raw["grids"] = str(root / raw["grids"])
+    for key, value in changes.items():
+        section, _, name = key.rpartition(".")
+        (raw.setdefault(section, {}) if section else raw)[name] = value
+    path = tmp_path / "config.yaml"
+    path.write_text(yaml.safe_dump(raw), encoding="utf-8")
+    return str(path)
+
+
+def _fails_cleanly(capsys, argv, message):
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ")
+    assert message in captured.err
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize(
+    "grid, message",
+    [
+        ("logreg: {C: [abc]}", "logreg setting"),
+        ("knn: {n_neighbors: [[1]]}", "knn setting"),
+        ("dtree: {max_depth: [x]}", "dtree setting"),
+        ("mlp: {hidden_layer_sizes: 5}", "mlp setting"),
+        ("gboost: {learning_rate: [x]}", "gboost setting"),
+        ("logreg: {max_iter: [.inf]}", 'logreg setting {"max_iter": Infinity} is invalid: '),
+    ],
+)
+def test_wrong_typed_grid_value_fails_train_cleanly(world, tmp_path, capsys, grid, message):
+    _train_with_grids(world, tmp_path, capsys, grid + "\nrforest: {n_estimators: [3]}\n", message)
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [("logreg: [\n", "grid config is not valid YAML"), ("[" * 100_000, "grid config is not valid YAML: nested too deeply")],
+    ids=["unclosed-list", "deep-nesting"],
+)
+def test_malformed_grid_file_fails_train_cleanly(world, tmp_path, capsys, text, message):
+    _train_with_grids(world, tmp_path, capsys, text, message)
+
+
+def _train_with_grids(world, tmp_path, capsys, text, message):
+    grids = tmp_path / "grids.yaml"
+    grids.write_text(text, encoding="utf-8")
+    config = _variant_config(world, tmp_path, grids=str(grids))
+    _fails_cleanly(capsys, ["train", "--config", config, "--dataset", world["dataset"],
+                            "--features", world["features"], "--out", str(tmp_path / "out")], message)
+
+
+@pytest.mark.parametrize(
+    "command, key, value, message",
+    [
+        ("train", "val_size", 0, "val_size must be >= 1, got 0"),
+        ("train", "val_size", -5, "val_size must be >= 1, got -5"),
+        ("extract", "features.context_norm", 0, "context_norm must be > 0, got 0.0"),
+        ("extract", "features.context_norm", -1, "context_norm must be > 0, got -1.0"),
+        ("evaluate", "importance_repeats", -1, "importance_repeats must be >= 0, got -1"),
+    ],
+)
+def test_out_of_range_config_value_fails_cleanly(world, tmp_path, capsys, command, key, value, message):
+    config = _variant_config(world, tmp_path, **{key: value})
+    args = {
+        "extract": [],
+        "train": ["--features", world["features"]],
+        "evaluate": ["--features", world["features"], "--model", world["model"]],
+    }[command]
+    _fails_cleanly(capsys, [command, "--config", config, "--dataset", world["dataset"], *args,
+                            "--out", str(tmp_path / "out")], message)
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("command", ["evaluate", "serve"])
 @pytest.mark.parametrize("value", ["7", "-0.1", "nan"])
 def test_threshold_flag_out_of_range(world, tmp_path, monkeypatch, capsys, command, value):

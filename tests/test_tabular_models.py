@@ -1,4 +1,5 @@
 import contextlib
+import inspect
 import json
 import math
 import sys
@@ -10,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ragate.tabular import (
+    FAMILY_CLASSES,
     DegenerateData,
     DecisionTreeModel,
     GradientBoostingModel,
@@ -17,7 +19,6 @@ from ragate.tabular import (
     KNNModel,
     LogisticRegressionModel,
     MLPModel,
-    ModelSpec,
     RandomForestModel,
     TabularDataset,
     VotingModel,
@@ -29,7 +30,7 @@ from ragate.tabular import (
 from ragate.tabular.base import balanced_class_weights, check_two_classes, resolve_sample_weights
 from ragate.tabular.linear import loss_and_grad
 from ragate.tabular.mlp import layer_shapes, pack_params, unpack_params
-from ragate.tabular.neighbors import pairwise_distances
+from ragate.tabular.neighbors import _BLOCK, _block_distances
 from ragate.tabular.trees import Tree, _best_split, _random_split, laplace_leaf, resolve_max_features
 
 
@@ -63,10 +64,6 @@ class TestBaseHelpers:
         data = TabularDataset(np.arange(8.0).reshape(4, 2), np.array([0, 1, 0, 1]), ("a", "b"))
         sub = data.rows([2, 0])
         assert sub.X[0, 0] == 4.0 and sub.y.tolist() == [0, 0]
-
-    def test_model_spec_family_checked(self):
-        with pytest.raises(InvalidHyperparameter):
-            ModelSpec(family="svm")
 
     def test_balanced_class_weights(self):
         y = np.array([0, 0, 0, 1])
@@ -146,12 +143,6 @@ class TestLogisticRegression:
         # upweighting the minority class raises its predicted probability
         assert balanced.predict_proba(X[y == 1]).mean() > plain.predict_proba(X[y == 1]).mean()
 
-    def test_round_trip(self):
-        X, y = separable(n=30)
-        model = LogisticRegressionModel(C=0.5, seed=3).fit(X, y)
-        clone = LogisticRegressionModel.from_dict(model.to_dict())
-        assert np.array_equal(clone.predict_proba(X), model.predict_proba(X))
-
 
 def knn_reference(train_X, train_y, X, k, metric, weights):
     """Brute-force kNN independent of the library implementation."""
@@ -221,8 +212,8 @@ class TestKNN:
     def test_pairwise_distances_oracle(self):
         A = np.array([[0.0, 0.0], [1.0, 1.0]])
         B = np.array([[3.0, 4.0]])
-        assert pairwise_distances(A, B, "euclidean")[0, 0] == pytest.approx(5.0)
-        assert pairwise_distances(A, B, "manhattan")[1, 0] == pytest.approx(5.0)
+        assert block_distances(A, B, "euclidean")[0, 0] == pytest.approx(5.0)
+        assert block_distances(A, B, "manhattan")[1, 0] == pytest.approx(5.0)
 
     @pytest.mark.parametrize("metric", ["euclidean", "manhattan"])
     @pytest.mark.parametrize("d", [1, 2, 7, 8, 9, 15, 16, 17, 28, 39, 64, 127, 128, 129, 200, 300, 1000])
@@ -236,7 +227,7 @@ class TestKNN:
             expected = np.sqrt(np.sum(diff * diff, axis=2))
         else:
             expected = np.sum(np.abs(diff), axis=2)
-        assert np.array_equal(pairwise_distances(A, B, metric), expected)
+        assert np.array_equal(block_distances(A, B, metric), expected)
 
     @settings(max_examples=150, deadline=None)
     @given(
@@ -281,11 +272,11 @@ class TestKNN:
                 expected = knn_broadcast_reference(train_X, train_y, X, k, metric, weights)
                 assert np.array_equal(model.predict_proba(X), expected)
 
-    def test_round_trip_scores_identically(self):
-        X, y = separable(n=40)
-        model = KNNModel(n_neighbors=5, weights="distance").fit(X, y)
-        clone = KNNModel.from_dict(model.to_dict())
-        assert np.array_equal(clone.predict_proba(X + 0.1), model.predict_proba(X + 0.1))
+
+def block_distances(A, B, metric):
+    """Distances from the rows of A to those of B, one block of rows at a time, as KNNModel computes them."""
+    T = np.ascontiguousarray(B.T)
+    return np.vstack([_block_distances(A[i : i + _BLOCK], T, metric) for i in range(0, A.shape[0], _BLOCK)])
 
 
 def knn_broadcast_reference(train_X, train_y, X, k, metric, weights):
@@ -446,12 +437,6 @@ class TestGradientBoosting:
         b = GradientBoostingModel(n_estimators=10, max_features=0.4, seed=5).fit(X, y)
         assert np.array_equal(a.predict_proba(X), b.predict_proba(X))
 
-    def test_round_trip(self):
-        X, y = noisy(n=80)
-        model = GradientBoostingModel(n_estimators=5, seed=0).fit(X, y)
-        clone = GradientBoostingModel.from_dict(model.to_dict())
-        assert np.array_equal(clone.predict_proba(X), model.predict_proba(X))
-
 
 class TestRandomForest:
     def test_deterministic(self):
@@ -485,12 +470,6 @@ class TestRandomForest:
     def test_bootstrap_must_be_bool(self):
         with pytest.raises(InvalidHyperparameter):
             RandomForestModel(bootstrap="yes")
-
-    def test_round_trip_preserves_class_weight(self):
-        X, y = noisy(n=60)
-        model = RandomForestModel(n_estimators=4, class_weight={0: 1, 1: 2}, seed=0).fit(X, y)
-        clone = RandomForestModel.from_dict(model.to_dict())
-        assert np.array_equal(clone.predict_proba(X), model.predict_proba(X))
 
 
 class TestMLP:
@@ -553,11 +532,43 @@ class TestMLP:
         model = MLPModel(hidden_layer_sizes=[8, 4], max_iter=20, seed=0).fit(X, y)
         assert model.predict_proba(X).shape == (60,)
 
-    def test_round_trip(self):
-        X, y = noisy(n=60)
-        model = MLPModel(hidden_layer_sizes=(6,), max_iter=25, seed=1).fit(X, y)
-        clone = MLPModel.from_dict(model.to_dict())
-        assert np.array_equal(clone.predict_proba(X), model.predict_proba(X))
+
+# Each family's hyperparameter names, written out so that a change to a
+# constructor's keywords (and so to the grid keys it accepts) shows here.
+DECLARED_PARAMS = {
+    "logreg": {"C", "solver", "class_weight", "max_iter"},
+    "knn": {"n_neighbors", "metric", "algorithm", "weights"},
+    "mlp": {"hidden_layer_sizes", "activation", "solver", "alpha", "learning_rate", "early_stopping", "max_iter"},
+    "dtree": {"max_depth", "max_features", "criterion", "splitter"},
+    "gboost": {"n_estimators", "learning_rate", "max_depth", "max_features"},
+    "rforest": {"n_estimators", "max_depth", "max_features", "bootstrap", "criterion", "class_weight"},
+}
+ROUND_TRIP_SETTINGS = {
+    "logreg": {"C": 0.5, "class_weight": {0: 1, 1: 2}},
+    "knn": {"n_neighbors": 5, "weights": "distance"},
+    "mlp": {"hidden_layer_sizes": (6,), "max_iter": 25},
+    "dtree": {"max_depth": 4, "max_features": 0.5, "splitter": "random"},
+    "gboost": {"n_estimators": 5, "max_features": "sqrt"},
+    "rforest": {"n_estimators": 4, "class_weight": {0: 1, 1: 2}},
+}
+
+
+@pytest.mark.parametrize("family", list(FAMILY_CLASSES))
+def test_family_is_declared_by_its_constructor(family):
+    cls = FAMILY_CLASSES[family]
+    assert cls.family == family
+    keywords = [name for name in inspect.signature(cls.__init__).parameters if name not in ("self", "seed")]
+    assert list(cls.PARAMS) == keywords
+    assert set(cls.PARAMS) == DECLARED_PARAMS[family]
+
+    X, y = noisy(n=80)
+    model = cls(**ROUND_TRIP_SETTINGS[family], seed=3).fit(X, y)
+    assert set(model.get_params()) == set(cls.PARAMS)
+    saved = json.dumps(model.to_dict(), sort_keys=True)
+    clone = cls.from_dict(json.loads(saved), n_features=X.shape[1])
+    assert json.dumps(clone.to_dict(), sort_keys=True) == saved
+    Q = X + 0.1
+    assert np.array_equal(clone.predict_proba(Q), model.predict_proba(Q))
 
 
 class TestVoting:

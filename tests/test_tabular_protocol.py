@@ -9,15 +9,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import outcome_record
-from ragate.tabular.base import (
-    FAMILY_ORDER,
-    DegenerateData,
-    EmptyGrid,
-    InvalidHyperparameter,
-    ModelSpec,
-    TabularDataset,
-)
+from ragate.tabular.base import DegenerateData, EmptyGrid, InvalidHyperparameter, TabularDataset
 from ragate.tabular.grids import (
+    FAMILY_CLASSES,
+    FAMILY_ORDER,
     canonical_key,
     expand_grid,
     expanded_family_grids,
@@ -67,20 +62,24 @@ SMALL_GRIDS = {
 class TestTrain:
     def test_unknown_param_rejected(self):
         data, _ = planted_dataset(40)
-        spec = ModelSpec(family="logreg", params={"C": 1.0, "bogus": 3}, seed=0)
         with pytest.raises(InvalidHyperparameter, match="bogus"):
-            train(spec, data)
+            train("logreg", {"C": 1.0, "bogus": 3}, 0, data)
+
+    def test_unknown_family_rejected(self):
+        data, _ = planted_dataset(40)
+        with pytest.raises(InvalidHyperparameter, match="svm"):
+            train("svm", {}, 0, data)
 
     def test_returns_fitted_model(self):
         data, _ = planted_dataset(60)
-        model = train(ModelSpec(family="dtree", params={"max_depth": 2}, seed=0), data)
+        model = train("dtree", {"max_depth": 2}, 0, data)
         proba = model.predict_proba(data.X)
         assert proba.shape == (60,)
 
     def test_seed_reaches_model(self):
         data, _ = planted_dataset(60)
-        a = train(ModelSpec(family="rforest", params={"n_estimators": 5}, seed=1), data)
-        b = train(ModelSpec(family="rforest", params={"n_estimators": 5}, seed=1), data)
+        a = train("rforest", {"n_estimators": 5}, 1, data)
+        b = train("rforest", {"n_estimators": 5}, 1, data)
         assert np.array_equal(a.predict_proba(data.X), b.predict_proba(data.X))
 
 
@@ -273,12 +272,11 @@ class TestDefaultGrids:
         assert len(grids["rforest"]) == 3 * 5 * 5 * 2 * 2 * 3
 
     def test_every_point_names_known_params(self):
-        from ragate.tabular.grids import FAMILY_CLASSES
-
         for family, points in load_grids().items():
             allowed = set(FAMILY_CLASSES[family].PARAMS)
             for point in points:
                 assert set(point) <= allowed
+                FAMILY_CLASSES[family](**point, seed=0)
 
 
 # ---------------------------------------------------------------------------
@@ -322,7 +320,7 @@ class TestGridSearch:
         result = grid_search("rforest", [point], data.__class__(data.X, data.y, data.feature_names), split, seeds=(0, 1, 2))
         singles = []
         for seed in (0, 1, 2):
-            model = train(ModelSpec(family="rforest", params=point, seed=seed), data)
+            model = train("rforest", point, seed, data)
             singles.append(selection_in_accuracy(model.predict_proba(split.data.X), split))
         assert result.best_score == pytest.approx(np.mean(singles), abs=1e-12)
 
@@ -346,6 +344,12 @@ class TestEndToEndTrain:
         data, records = self._world(n=119)
         with pytest.raises(DegenerateData, match="120"):
             end_to_end_train(data, records, SMALL_GRIDS, master_seed=0)
+
+    @pytest.mark.parametrize("val_size", [0, -5])
+    def test_needs_a_validation_row(self, val_size):
+        data, records = self._world()
+        with pytest.raises(DegenerateData, match=f"val_size must be >= 1, got {val_size}"):
+            end_to_end_train(data, records, SMALL_GRIDS, master_seed=0, val_size=val_size)
 
     def test_needs_two_families(self):
         data, records = self._world()
@@ -478,7 +482,7 @@ class TestGateArtifact:
 
 def _family_gates():
     """Artifacts of small fitted gates that together hold all six families."""
-    from ragate.tabular import FAMILY_CLASSES, GateModel, VotingModel, fit_scaler
+    from ragate.tabular import GateModel, VotingModel, fit_scaler
 
     data, _ = planted_dataset(40, d=3, seed=2)
     params = {"knn": {"n_neighbors": 3}, "mlp": {"hidden_layer_sizes": [4], "max_iter": 5},

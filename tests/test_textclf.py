@@ -10,7 +10,6 @@ from ragate.textclf import (
     TextClfConfig,
     classifier_from_dict,
     classifier_to_dict,
-    featurize,
     featurize_many,
     hashed_counts,
     load_text_classifier,
@@ -35,29 +34,29 @@ SEPARABLE = [
 
 class TestFeaturize:
     def test_counts_unigrams_and_bigrams(self):
-        x = featurize("the cat sat", dim=1 << 12)
+        x = featurize_many(["the cat sat"], 1 << 12)
         # 3 unigram occurrences + 2 bigram occurrences
         assert x.sum() == 5.0
         assert x.shape == (1, 1 << 12)
 
     def test_deterministic(self):
-        a = featurize("who wrote moby dick", 1 << 12)
-        b = featurize("who wrote moby dick", 1 << 12)
+        a = featurize_many(["who wrote moby dick"], 1 << 12)
+        b = featurize_many(["who wrote moby dick"], 1 << 12)
         assert (a != b).nnz == 0
 
     def test_normalization_applied(self):
-        a = featurize("The CAT   sat!", 1 << 12)
-        b = featurize("the cat sat", 1 << 12)
+        a = featurize_many(["The CAT   sat!"], 1 << 12)
+        b = featurize_many(["the cat sat"], 1 << 12)
         assert (a != b).nnz == 0
 
     def test_repeated_token_accumulates(self):
-        x = featurize("very very", 1 << 12)
+        x = featurize_many(["very very"], 1 << 12)
         assert x.max() == 2.0  # the repeated unigram bucket
 
     def test_featurize_many_stacks(self):
         X = featurize_many(["a b", "c"], 1 << 10)
         assert X.shape == (2, 1 << 10)
-        assert (X[0] != featurize("a b", 1 << 10)).nnz == 0
+        assert (X[0] != featurize_many(["a b"], 1 << 10)).nnz == 0
 
 
 class TestSoftmaxGradient:
@@ -301,7 +300,7 @@ class TestCompactLayout:
     @settings(max_examples=150, deadline=None)
     def test_predict_proba_is_the_dense_product(self, dense_builtins, text):
         for model, weights in dense_builtins:
-            expected = _dense_softmax(featurize(text, model.dim), weights, model.bias)
+            expected = _dense_softmax(featurize_many([text], model.dim), weights, model.bias)
             assert np.array_equal(model.predict_proba(text), expected)
 
     @pytest.mark.parametrize("name", ["qtype", "complexity"])
