@@ -189,8 +189,11 @@ def cmd_train(args) -> int:
     report_path = os.path.join(out, "training_report.md")
     with open(report_path, "w", encoding="utf-8") as fh:
         fh.write(_render_history(gate.provenance))
+    timings_path = os.path.join(out, "train_timings.json")
+    _write(timings_path, json.dumps(gate.timings, indent=2, sort_keys=True) + "\n")
     print(f"wrote {model_path}")
     print(f"wrote {report_path}")
+    print(f"wrote {timings_path}")
     print(f"selected families: {' + '.join(gate.provenance['selected'])}")
     return 0
 

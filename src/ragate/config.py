@@ -211,6 +211,8 @@ def load_config(path) -> RunConfig:
     context_norm = _number(feats, "context_norm", DEFAULT_CONTEXT_NORM, float)
     if not context_norm > 0:
         raise ConfigError(f"context_norm must be > 0, got {context_norm}")
+    if context_norm == float("inf"):
+        raise ConfigError("context_norm must be finite, got inf")
     importance_repeats = _number(raw, "importance_repeats", 20, int)
     if importance_repeats < 0:
         raise ConfigError(f"importance_repeats must be >= 0, got {importance_repeats}")

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import copy
 import inspect
 from dataclasses import dataclass
 
@@ -66,6 +67,8 @@ class Family:
 
     family: str
     PARAMS: tuple[str, ...] = ()
+    # A tree count whose smaller values ``truncated`` reads off one fit, or None.
+    PREFIX: str | None = None
 
     def __init_subclass__(cls, **kwargs):
         super().__init_subclass__(**kwargs)
@@ -73,6 +76,23 @@ class Family:
 
     def get_params(self) -> dict:
         return {name: getattr(self, name) for name in self.PARAMS}
+
+    @classmethod
+    def fit_key(cls, params: dict) -> tuple[dict, bool]:
+        """``params`` (from ``get_params``) cut to what ``fit`` reads, and whether
+        ``fit`` draws from its seed: settings with one key fit the same model,
+        for every seed when the flag is False."""
+        key = dict(params)
+        if key.get("class_weight") == {0: 1, 1: 1}:  # the sample weights of None
+            key["class_weight"] = None
+        return key, True
+
+    def truncated(self, k: int):
+        """This ensemble cut to its first ``k`` trees: a ``k``-tree fit, bit for bit."""
+        view = copy.copy(self)
+        setattr(view, self.PREFIX, k)
+        view.trees = self.trees[:k]
+        return view
 
     def to_dict(self) -> dict:
         return {"params": self.get_params(), "seed": self.seed, **self._state()}
@@ -89,6 +109,12 @@ def check_choice(name: str, value, choices: tuple):
     if value not in choices:
         raise InvalidHyperparameter(f"{name} must be one of {choices}, got {value!r}")
     return value
+
+
+def check_max_depth(max_depth):
+    if max_depth is not None and max_depth < 1:
+        raise InvalidHyperparameter(f"max_depth must be >= 1 or None, got {max_depth}")
+    return max_depth
 
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .base import Family, InvalidHyperparameter, _sigmoid, check_two_classes
+from .base import Family, InvalidHyperparameter, _sigmoid, check_max_depth, check_two_classes
 from .trees import Tree, grow_tree, tree_predict
 
 _LEAF_EPS = 1e-12
@@ -18,6 +18,8 @@ def logistic_loss(raw: np.ndarray, y: np.ndarray) -> float:
 
 class GradientBoostingModel(Family):
     family = "gboost"
+    # Tree i is grown from the same raw scores and rng state whatever the count.
+    PREFIX = "n_estimators"
 
     def __init__(self, n_estimators: int = 50, learning_rate: float = 0.05, max_depth: int = 3, max_features=None, seed: int = 0):
         if n_estimators < 1:
@@ -26,12 +28,22 @@ class GradientBoostingModel(Family):
             raise InvalidHyperparameter(f"learning_rate must be positive, got {learning_rate}")
         self.n_estimators = int(n_estimators)
         self.learning_rate = float(learning_rate)
-        self.max_depth = max_depth
+        self.max_depth = check_max_depth(max_depth)
         self.max_features = max_features
         self.seed = seed
         self.base_score: float = 0.0
         self.trees: list = []
         self.train_loss_history: list[float] = []
+
+    @classmethod
+    def fit_key(cls, params: dict) -> tuple[dict, bool]:
+        # Every split is exact; only a max_features subset draws from the rng.
+        return dict(params), params["max_features"] is not None
+
+    def truncated(self, k: int) -> "GradientBoostingModel":
+        view = super().truncated(k)
+        view.train_loss_history = self.train_loss_history[: k + 1]
+        return view
 
     def fit(self, X: np.ndarray, y: np.ndarray) -> "GradientBoostingModel":
         X = np.asarray(X, dtype=np.float64)

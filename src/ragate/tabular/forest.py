@@ -4,12 +4,14 @@ from __future__ import annotations
 
 import numpy as np
 
-from .base import Family, InvalidHyperparameter, check_choice, check_two_classes, resolve_sample_weights
+from .base import Family, InvalidHyperparameter, check_choice, check_max_depth, check_two_classes, resolve_sample_weights
 from .trees import _CRITERIA_CLS, Tree, grow_tree, laplace_leaf, tree_predict
 
 
 class RandomForestModel(Family):
     family = "rforest"
+    # Tree i draws from the i-th spawned stream whatever the count.
+    PREFIX = "n_estimators"
 
     def __init__(
         self,
@@ -27,7 +29,7 @@ class RandomForestModel(Family):
         if not isinstance(bootstrap, bool):
             raise InvalidHyperparameter(f"bootstrap must be boolean, got {bootstrap!r}")
         self.n_estimators = int(n_estimators)
-        self.max_depth = max_depth
+        self.max_depth = check_max_depth(max_depth)
         self.max_features = max_features
         self.bootstrap = bootstrap
         self.class_weight = class_weight

@@ -66,6 +66,15 @@ def family_class(family: str, names) -> type:
     return FAMILY_CLASSES[family]
 
 
+def construct(family: str, params: dict, seed: int = 0):
+    """An unfitted member; a setting ``family`` does not take raises InvalidHyperparameter."""
+    cls = family_class(family, params)
+    try:
+        return cls(**params, seed=seed)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise InvalidHyperparameter(f"{family} setting {canonical_key(params)} is invalid: {exc}") from None
+
+
 def validate_grids(raw: dict) -> None:
     for family, grid in raw.items():
         if not isinstance(grid, dict) or not grid:
@@ -118,5 +127,10 @@ def expanded_family_grids(raw: dict) -> dict[str, list[dict]]:
 
 
 def load_grids(path=None) -> dict[str, list[dict]]:
-    """Expanded per-family grids from a config file (bundled default if None)."""
-    return expanded_family_grids(load_raw_grids(path))
+    """Expanded per-family grids from a config file (bundled default if None),
+    every point constructed, so a bad value fails before any fit."""
+    grids = expanded_family_grids(load_raw_grids(path))
+    for family, points in grids.items():
+        for params in points:
+            construct(family, params)
+    return grids

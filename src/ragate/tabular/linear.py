@@ -47,6 +47,13 @@ class LogisticRegressionModel(Family):
         self.weights: np.ndarray | None = None
         self.bias: float = 0.0
 
+    @classmethod
+    def fit_key(cls, params: dict) -> tuple[dict, bool]:
+        # One optimizer runs for both solver names, from a zero start.
+        key, _ = super().fit_key(params)
+        del key["solver"]
+        return key, False
+
     def fit(self, X: np.ndarray, y: np.ndarray) -> "LogisticRegressionModel":
         X = np.asarray(X, dtype=np.float64)
         y = np.asarray(y, dtype=np.int64)

@@ -117,6 +117,12 @@ class MLPModel(Family):
         self.flat: np.ndarray | None = None
         self.shapes: list[tuple[int, int]] | None = None
 
+    @classmethod
+    def fit_key(cls, params: dict) -> tuple[dict, bool]:
+        # Only sgd reads the learning-rate schedule.
+        drop = "learning_rate" if params["solver"] == "adam" else None
+        return {k: v for k, v in params.items() if k != drop}, True
+
     def _init_params(self, rng, shapes) -> np.ndarray:
         layers = []
         for fan_in, fan_out in shapes:

@@ -118,6 +118,11 @@ class KNNModel(Family):
         self.train_y: np.ndarray | None = None
         self._train_T: np.ndarray | None = None
 
+    @classmethod
+    def fit_key(cls, params: dict) -> tuple[dict, bool]:
+        # Search is exact brute force whatever the algorithm name.
+        return {k: v for k, v in params.items() if k != "algorithm"}, False
+
     def _set_train(self, X, y) -> None:
         self.train_X = np.asarray(X, dtype=np.float64)
         self.train_y = np.asarray(y, dtype=np.int64)

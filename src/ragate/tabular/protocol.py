@@ -10,13 +10,14 @@ the full training set, and soft-vote them.
 from __future__ import annotations
 
 import json
+import time
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from ..core import answer_outcomes, in_accuracy
 from .base import DegenerateData, EmptyGrid, InvalidHyperparameter, TabularDataset
-from .grids import FAMILY_CLASSES, FAMILY_ORDER, canonical_key, family_class
+from .grids import FAMILY_CLASSES, FAMILY_ORDER, canonical_key, construct, family_class
 from .scaler import Scaler, fit_scaler, scaler_from_dict, scaler_to_dict, transform
 from .voting import VotingModel
 
@@ -26,9 +27,9 @@ SELECTION_THRESHOLD = 0.5
 def train(family: str, params: dict, seed: int, data: TabularDataset):
     """Fit one family member. An unknown family, a hyperparameter the family
     does not take and a value of the wrong type raise InvalidHyperparameter."""
-    cls = family_class(family, params)
+    model = construct(family, params, seed)
     try:
-        return cls(**params, seed=seed).fit(data.X, data.y)
+        return model.fit(data.X, data.y)
     except (TypeError, ValueError, OverflowError) as exc:
         raise InvalidHyperparameter(f"{family} setting {canonical_key(params)} is invalid: {exc}") from None
 
@@ -59,29 +60,63 @@ class GridSearchResult:
     best_params: dict
     best_score: float
     history: list = field(default_factory=list)
+    # declared fits (points x seeds), fits run, trees grown, seconds
+    timing: dict = field(default_factory=dict)
+
+
+def fit_plan(family: str, grid_points: list[dict]) -> list[tuple[dict, bool, dict]]:
+    """One fit per ``Family.fit_key`` (``PREFIX`` count left out), in order of
+    first appearance: the setting to fit, at its largest count; whether the
+    seed is read; {count, or None: indices of the points it scores}."""
+    cls = family_class(family, ())
+    groups: dict[str, tuple[dict, bool, dict]] = {}
+    for i, params in enumerate(grid_points):
+        key, seeded = cls.fit_key(construct(family, params).get_params())
+        count = key.pop(cls.PREFIX) if cls.PREFIX else None
+        groups.setdefault(canonical_key(key), (key, seeded, {}))[2].setdefault(count, []).append(i)
+    return [
+        ({**key, cls.PREFIX: max(by_count)} if cls.PREFIX else key, seeded, by_count)
+        for key, seeded, by_count in groups.values()
+    ]
 
 
 def grid_search(family: str, grid_points: list[dict], train_data: TabularDataset, val: EvalSplit, seeds) -> GridSearchResult:
     """Mean downstream validation InAcc over seeds, per setting; argmax wins.
+
+    Settings share fits as ``fit_plan`` groups them, a ``PREFIX`` count is
+    scored on a ``truncated`` view, and a fit that reads no seed scores for
+    every seed: each setting gets the per-seed scores, and mean, of its own fits.
 
     Exact score ties go to the setting with the smaller canonical key
     (sorted-JSON encoding of its hyperparameters).
     """
     if not grid_points:
         raise EmptyGrid(f"no grid points for family {family!r}")
+    start = time.perf_counter()
+    scores: list[list[float]] = [[] for _ in grid_points]
+    fits = trees = 0
+    for params, seeded, by_count in fit_plan(family, grid_points):
+        fit_seeds, copies = (seeds, 1) if seeded else (seeds[:1], len(seeds))
+        for seed in fit_seeds:
+            model = train(family, params, int(seed), train_data)
+            fits += 1
+            trees += len(getattr(model, "trees", ())) + hasattr(model, "tree")  # ensembles, dtree
+            for count, points in by_count.items():
+                view = model if count is None else model.truncated(count)
+                score = selection_in_accuracy(view.predict_proba(val.data.X), val)
+                for i in points:
+                    scores[i] += [score] * copies
     best: tuple[float, str, dict] | None = None
     history = []
-    for params in grid_points:
-        scores = []
-        for seed in seeds:
-            model = train(family, params, int(seed), train_data)
-            scores.append(selection_in_accuracy(model.predict_proba(val.data.X), val))
-        mean_score = float(np.mean(scores))
+    for params, per_seed in zip(grid_points, scores):
+        mean_score = float(np.mean(per_seed))
         key = canonical_key(params)
         history.append({"params": params, "score": mean_score})
         if best is None or mean_score > best[0] or (mean_score == best[0] and key < best[1]):
             best = (mean_score, key, params)
-    return GridSearchResult(family=family, best_params=best[2], best_score=best[0], history=history)
+    timing = {"declared_fits": len(grid_points) * len(seeds), "fits": fits, "trees": trees,
+              "seconds": round(time.perf_counter() - start, 6)}
+    return GridSearchResult(family=family, best_params=best[2], best_score=best[0], history=history, timing=timing)
 
 
 @dataclass
@@ -93,6 +128,8 @@ class GateModel:
     scaler: Scaler
     voting: VotingModel
     provenance: dict = field(default_factory=dict)
+    # per family grid_search timing; written beside the artifact, never in it
+    timings: dict = field(default_factory=dict, compare=False)
 
     def predict_proba(self, X_raw: np.ndarray) -> np.ndarray:
         return self.voting.predict_proba(transform(self.scaler, X_raw))
@@ -165,6 +202,7 @@ def end_to_end_train(
         scaler=scaler,
         voting=voting,
         provenance=provenance,
+        timings={f: r.timing for f, r in results.items()},
     )
 
 

@@ -32,7 +32,7 @@ import math
 import numpy as np
 from scipy.special import xlogy
 
-from .base import Family, InvalidHyperparameter, check_choice
+from .base import Family, InvalidHyperparameter, check_choice, check_max_depth
 
 _CRITERIA_CLS = ("gini", "entropy")
 _SPLITTERS = ("best", "random")
@@ -220,8 +220,6 @@ def grow_tree(
     if criterion not in _CRITERIA_CLS + ("mse",):
         raise InvalidHyperparameter(f"unknown criterion {criterion!r}")
     check_choice("splitter", splitter, _SPLITTERS)
-    if max_depth is not None and max_depth < 1:
-        raise InvalidHyperparameter(f"max_depth must be >= 1 or None, got {max_depth}")
     X = np.asarray(X, dtype=np.float64)
     targets = np.asarray(targets, dtype=np.float64)
     if sample_weight is None:
@@ -317,11 +315,16 @@ class DecisionTreeModel(Family):
 
     def __init__(self, max_depth=None, max_features=None, criterion: str = "gini", splitter: str = "best", seed: int = 0):
         self.criterion = check_choice("criterion", criterion, _CRITERIA_CLS)
-        self.max_depth = max_depth
+        self.max_depth = check_max_depth(max_depth)
         self.max_features = max_features
         self.splitter = splitter
         self.seed = seed
         self.tree: Tree | None = None
+
+    @classmethod
+    def fit_key(cls, params: dict) -> tuple[dict, bool]:
+        # Exact splits over every feature draw nothing from the rng.
+        return dict(params), not (params["splitter"] == "best" and params["max_features"] is None)
 
     def fit(self, X: np.ndarray, y: np.ndarray, sample_weight: np.ndarray | None = None) -> "DecisionTreeModel":
         X = np.asarray(X, dtype=np.float64)

@@ -263,6 +263,34 @@ class TestTrain:
         assert rc == 0
         assert (tmp_path / "model.json").read_bytes() == open(world["model"], "rb").read()
 
+    def test_timings_sidecar_counts_the_fits(self, world, tmp_path, capsys):
+        grids = tmp_path / "grids.yaml"
+        grids.write_text(
+            "logreg: {C: [0.1, 1.0], solver: [lbfgs, liblinear], max_iter: [300]}\n"
+            "dtree: {max_depth: [2, 3], max_features: [null, sqrt]}\n"
+            "gboost: {n_estimators: [2, 4], max_depth: [2], max_features: [null, sqrt]}\n"
+            "rforest: {n_estimators: [2, 3], max_depth: [3]}\n",
+            encoding="utf-8",
+        )
+        config = _variant_config(world, tmp_path, grids=str(grids))
+        out = tmp_path / "out"
+        assert main(["train", "--config", config, "--dataset", world["dataset"],
+                     "--features", world["features"], "--out", str(out)]) == 0
+        assert f"wrote {out / 'train_timings.json'}" in capsys.readouterr().out
+        timings = json.loads((out / "train_timings.json").read_text(encoding="utf-8"))
+        assert all(t.pop("seconds") >= 0.0 for t in timings.values())
+        # logreg: one fit per C, seedless. dtree: null max_features is seedless
+        # (2 fits), sqrt is fit per seed (6). gboost: one 4-tree fit for null,
+        # three for sqrt. rforest: one 3-tree fit per seed.
+        assert timings == {
+            "logreg": {"declared_fits": 12, "fits": 2, "trees": 0},
+            "dtree": {"declared_fits": 12, "fits": 8, "trees": 8},
+            "gboost": {"declared_fits": 12, "fits": 4, "trees": 16},
+            "rforest": {"declared_fits": 6, "fits": 3, "trees": 9},
+        }
+        assert set(os.listdir(out)) == {"model.json", "training_report.md", "train_timings.json"}
+        assert "train_timings" not in (out / "model.json").read_text(encoding="utf-8")
+
     def test_seed_flag_changes_split(self, world, tmp_path, capsys):
         rc = main(
             ["train", "--config", world["config"], "--dataset", world["dataset"],
@@ -455,6 +483,14 @@ def test_malformed_grid_file_fails_train_cleanly(world, tmp_path, capsys, text, 
     _train_with_grids(world, tmp_path, capsys, text, message)
 
 
+def test_bad_grid_value_fails_before_any_fit(world, tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr("ragate.tabular.protocol.train", lambda *a: pytest.fail("a fit ran before the grid was checked"))
+    grid = "logreg: {C: [1.0]}\ndtree: {max_depth: [3, 0]}\nrforest: {n_estimators: [3]}\n"
+    _train_with_grids(world, tmp_path, capsys, grid, "max_depth must be >= 1 or None, got 0")
+    grid = "logreg: {C: [1.0]}\ndtree: {max_depth: [3]}\nrforest: {n_estimators: [x]}\n"
+    _train_with_grids(world, tmp_path, capsys, grid, "rforest setting")
+
+
 def _train_with_grids(world, tmp_path, capsys, text, message):
     grids = tmp_path / "grids.yaml"
     grids.write_text(text, encoding="utf-8")
@@ -482,6 +518,13 @@ def test_out_of_range_config_value_fails_cleanly(world, tmp_path, capsys, comman
     }[command]
     _fails_cleanly(capsys, [command, "--config", config, "--dataset", world["dataset"], *args,
                             "--out", str(tmp_path / "out")], message)
+    assert not (tmp_path / "out").exists()
+
+
+def test_infinite_context_norm_fails_cleanly(world, tmp_path, capsys):
+    config = _variant_config(world, tmp_path, **{"features.context_norm": float("inf")})
+    _fails_cleanly(capsys, ["extract", "--config", config, "--dataset", world["dataset"], "--out", str(tmp_path / "out")],
+                   "context_norm must be finite, got inf")
     assert not (tmp_path / "out").exists()
 
 

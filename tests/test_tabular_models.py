@@ -781,3 +781,111 @@ class TestDeepTrees:
         assert np.array_equal(loaded.predict_proba(X), gate.predict_proba(X))
         for row in (0, n // 2, n - 1):
             assert loaded.predict_proba(X[row : row + 1])[0] == gate.predict_proba(X)[row]
+
+
+# ---------------------------------------------------------------------------
+# Fit keys: settings that grid search fits once give bit-identical models
+# ---------------------------------------------------------------------------
+
+
+def fit_key(family, params):
+    cls = FAMILY_CLASSES[family]
+    return cls.fit_key(cls(**params).get_params())
+
+
+SMALL_MLP = {"hidden_layer_sizes": (6,), "max_iter": 15}
+
+# (family, setting, seed, other setting, other seed) that share one fit key
+MERGED = {
+    "logreg-solver": ("logreg", {"C": 0.1, "solver": "lbfgs"}, 0, {"C": 0.1, "solver": "liblinear"}, 0),
+    "logreg-seed": ("logreg", {"C": 0.1, "class_weight": "balanced"}, 0, {"C": 0.1, "class_weight": "balanced"}, 1),
+    "logreg-unit-weights": ("logreg", {"class_weight": {0: 1, 1: 1}}, 0, {"class_weight": None}, 0),
+    "knn-algorithm": ("knn", {"n_neighbors": 7, "algorithm": "auto"}, 0, {"n_neighbors": 7, "algorithm": "kd_tree"}, 0),
+    "knn-seed": ("knn", {"weights": "distance", "metric": "manhattan"}, 0, {"weights": "distance", "metric": "manhattan"}, 2),
+    "dtree-seed": ("dtree", {"max_depth": 4}, 0, {"max_depth": 4, "splitter": "best", "max_features": None}, 1),
+    "gboost-seed": ("gboost", {"n_estimators": 6, "max_features": None}, 0, {"n_estimators": 6}, 1),
+    "rforest-unit-weights": ("rforest", {"n_estimators": 5, "class_weight": {0: 1.0, 1: 1}}, 3, {"n_estimators": 5}, 3),
+    "mlp-adam-schedule": ("mlp", {**SMALL_MLP, "learning_rate": "constant"}, 0, {**SMALL_MLP, "learning_rate": "adaptive"}, 0),
+}
+
+# (family, setting): the seed reaches the fit, so each seed keeps its own fit
+SEEDED = {
+    "dtree-sqrt": ("dtree", {"max_depth": None, "max_features": "sqrt"}),
+    "dtree-random": ("dtree", {"max_depth": 4, "splitter": "random"}),
+    "gboost-sqrt": ("gboost", {"n_estimators": 6, "max_features": "sqrt"}),
+    "rforest": ("rforest", {"n_estimators": 5, "max_features": None, "bootstrap": True}),
+    "mlp": ("mlp", SMALL_MLP),
+}
+
+
+@pytest.mark.parametrize("case", list(MERGED))
+def test_settings_with_one_fit_key_fit_the_same_model(case):
+    family, a, seed_a, b, seed_b = MERGED[case]
+    key_a, seeded = fit_key(family, a)
+    assert fit_key(family, b) == (key_a, seeded)
+    assert seed_a == seed_b or not seeded
+    X, y = noisy(n=120, d=5)
+    Q = np.vstack([X, X + 0.1])
+    proba_a = FAMILY_CLASSES[family](**a, seed=seed_a).fit(X, y).predict_proba(Q)
+    assert np.array_equal(FAMILY_CLASSES[family](**b, seed=seed_b).fit(X, y).predict_proba(Q), proba_a)
+
+
+@pytest.mark.parametrize("case", list(SEEDED))
+def test_seeded_settings_keep_seeds_apart(case):
+    family, params = SEEDED[case]
+    assert fit_key(family, params)[1]
+    X, y = noisy(n=120, d=5)
+    Q = np.vstack([X, X + 0.1])
+    proba = [FAMILY_CLASSES[family](**params, seed=seed).fit(X, y).predict_proba(Q) for seed in (0, 1)]
+    assert not np.array_equal(*proba)
+
+
+@pytest.mark.parametrize(
+    "family, a, b",
+    [
+        ("logreg", {"class_weight": {0: 1, 1: 2}}, {"class_weight": None}),
+        ("rforest", {"class_weight": "balanced"}, {"class_weight": None}),
+        ("mlp", {"solver": "sgd", "learning_rate": "constant"}, {"solver": "sgd", "learning_rate": "adaptive"}),
+        ("knn", {"metric": "euclidean"}, {"metric": "manhattan"}),
+        ("dtree", {"splitter": "best"}, {"splitter": "random"}),
+    ],
+)
+def test_fit_key_keeps_read_params_apart(family, a, b):
+    assert fit_key(family, a)[0] != fit_key(family, b)[0]
+
+
+@pytest.mark.parametrize("family", ["dtree", "gboost", "rforest"])
+def test_max_depth_is_checked_at_construction(family):
+    with pytest.raises(InvalidHyperparameter, match=r"max_depth must be >= 1 or None, got 0"):
+        FAMILY_CLASSES[family](max_depth=0)
+
+
+def test_fit_key_resolves_defaults_and_drops_unread_params():
+    assert fit_key("dtree", {"max_depth": 3}) == fit_key("dtree", {"max_depth": 3, "splitter": "best"})
+    assert "solver" not in fit_key("logreg", {})[0]
+    assert "algorithm" not in fit_key("knn", {})[0]
+    assert "learning_rate" not in fit_key("mlp", {"solver": "adam"})[0]
+    assert "learning_rate" in fit_key("mlp", {"solver": "sgd"})[0]
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    family=st.sampled_from(["gboost", "rforest"]),
+    n=st.integers(1, 8),
+    data=st.data(),
+    max_features=st.sampled_from([None, "sqrt", 0.5]),
+    max_depth=st.sampled_from([1, 2, 4]),
+    seed=st.integers(0, 1000),
+)
+def test_truncated_view_is_a_smaller_fit(family, n, data, max_features, max_depth, seed):
+    k = data.draw(st.integers(1, n))
+    X, y = noisy(n=60, seed=seed)
+    cls = FAMILY_CLASSES[family]
+    params = {"max_depth": max_depth, "max_features": max_features}
+    full = cls(n_estimators=n, **params, seed=seed).fit(X, y)
+    small = cls(n_estimators=k, **params, seed=seed).fit(X, y)
+    view = full.truncated(k)
+    Q = np.vstack([X, X + 0.1])
+    assert np.array_equal(view.predict_proba(Q), small.predict_proba(Q))
+    assert json.dumps(view.to_dict(), sort_keys=True) == json.dumps(small.to_dict(), sort_keys=True)
+    assert len(full.trees) == n

@@ -23,6 +23,7 @@ from ragate.tabular.grids import (
 from ragate.tabular.protocol import (
     EvalSplit,
     end_to_end_train,
+    fit_plan,
     gate_from_dict,
     gate_to_dict,
     grid_search,
@@ -323,6 +324,113 @@ class TestGridSearch:
             model = train("rforest", point, seed, data)
             singles.append(selection_in_accuracy(model.predict_proba(split.data.X), split))
         assert result.best_score == pytest.approx(np.mean(singles), abs=1e-12)
+
+
+def grid_search_reference(family, grid_points, train_data, val, seeds):
+    """The search that fits every setting with every seed, as it ran before
+    settings shared fits: (best_params, best_score, history)."""
+    best = None
+    history = []
+    for params in grid_points:
+        scores = []
+        for seed in seeds:
+            model = train(family, params, int(seed), train_data)
+            scores.append(selection_in_accuracy(model.predict_proba(val.data.X), val))
+        mean_score = float(np.mean(scores))
+        key = canonical_key(params)
+        history.append({"params": params, "score": mean_score})
+        if best is None or mean_score > best[0] or (mean_score == best[0] and key < best[1]):
+            best = (mean_score, key, params)
+    return best[2], best[0], history
+
+
+# Explicit defaults beside omitted ones, unread params, unit class weights,
+# seedless and seeded settings, and n_estimators prefixes out of order.
+MIXED_GRIDS = {
+    "logreg": [
+        {"C": 0.5},
+        {"C": 0.5, "solver": "liblinear", "max_iter": 10000},
+        {"C": 0.5, "class_weight": {0: 1, 1: 1}},
+        {"C": 0.05, "class_weight": "balanced", "max_iter": 40},
+    ],
+    "knn": [
+        {"n_neighbors": 3},
+        {"n_neighbors": 3, "algorithm": "kd_tree"},
+        {"n_neighbors": 5, "weights": "distance", "algorithm": "brute"},
+        {"n_neighbors": 5, "weights": "distance"},
+    ],
+    "mlp": [
+        {"hidden_layer_sizes": [8], "max_iter": 15},
+        {"hidden_layer_sizes": [8], "max_iter": 15, "learning_rate": "adaptive"},
+        {"hidden_layer_sizes": [8], "max_iter": 15, "solver": "sgd", "learning_rate": "adaptive"},
+    ],
+    "dtree": [
+        {"max_depth": 3},
+        {"max_depth": 3, "splitter": "best", "max_features": None},
+        {"max_depth": 3, "max_features": "sqrt"},
+        {"max_depth": 2, "splitter": "random"},
+    ],
+    "gboost": [
+        {"n_estimators": 4},
+        {"n_estimators": 8, "max_features": None},
+        {"n_estimators": 6, "max_features": "sqrt"},
+        {"n_estimators": 2, "max_features": "sqrt"},
+        {"n_estimators": 4, "learning_rate": 0.1},
+    ],
+    "rforest": [
+        {"n_estimators": 3},
+        {"n_estimators": 7, "class_weight": {0: 1, 1: 1}},
+        {"n_estimators": 5, "max_depth": 3},
+        {"n_estimators": 3, "class_weight": "balanced"},
+    ],
+}
+
+
+class TestSharedFits:
+    def _split(self):
+        data, _ = planted_dataset(90, seed=5)
+        # outcomes from noisy labels, so that settings score apart
+        noisy = data.y ^ (np.random.default_rng(5).random(90) < 0.2)
+        records = [outcome_record(i, correct_without=yi == 0, correct_with=yi == 1) for i, yi in enumerate(noisy)]
+        return data.rows(np.arange(60)), EvalSplit.from_records(data.rows(np.arange(60, 90)), records[60:])
+
+    @pytest.mark.parametrize("family", list(SMALL_GRIDS) + list(MIXED_GRIDS))
+    def test_matches_fitting_every_setting_with_every_seed(self, family):
+        points = MIXED_GRIDS[family] if family in MIXED_GRIDS else SMALL_GRIDS[family]
+        train_data, val = self._split()
+        result = grid_search(family, points, train_data, val, seeds=(4, 5, 6))
+        best_params, best_score, history = grid_search_reference(family, points, train_data, val, (4, 5, 6))
+        assert result.history == history
+        assert result.best_params == best_params
+        assert result.best_score == best_score
+        assert result.timing["declared_fits"] == 3 * len(points)
+
+    def test_seedless_score_is_still_a_mean_of_three(self):
+        # InAcc is 7/10 whatever the gate decides, and the mean of three 0.7s is not 0.7
+        data, _ = planted_dataset(10, seed=1)
+        records = [outcome_record(i, correct_without=i < 7, correct_with=i < 7) for i in range(10)]
+        result = grid_search("logreg", [{"C": 1.0}], data, EvalSplit.from_records(data, records), seeds=(0, 1, 2))
+        assert result.timing["fits"] == 1
+        assert result.best_score == float(np.mean([0.7] * 3)) != 0.7
+
+    def test_default_grid_fit_plan(self):
+        fits = {family: sum(3 if seeded else 1 for _, seeded, _ in fit_plan(family, points))
+                for family, points in load_grids().items()}
+        assert fits == {"logreg": 18, "knn": 24, "mlp": 720, "dtree": 280, "gboost": 195, "rforest": 600}
+
+    def test_plan_fits_the_largest_count(self):
+        plan = fit_plan("gboost", MIXED_GRIDS["gboost"])
+        assert [(params["n_estimators"], seeded, by_count) for params, seeded, by_count in plan] == [
+            (8, False, {4: [0], 8: [1]}),
+            (6, True, {6: [2], 2: [3]}),
+            (4, False, {4: [4]}),
+        ]
+
+    def test_every_point_is_checked_before_any_fit(self, monkeypatch):
+        monkeypatch.setattr("ragate.tabular.protocol.train", lambda *a: pytest.fail("fit before validation"))
+        train_data, val = self._split()
+        with pytest.raises(InvalidHyperparameter, match="rforest setting"):
+            grid_search("rforest", [{"n_estimators": 3}, {"n_estimators": "x"}], train_data, val, seeds=(0, 1, 2))
 
 
 def test_canonical_key_is_total_and_order_free():
