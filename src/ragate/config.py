@@ -7,7 +7,7 @@ from dataclasses import dataclass, field
 
 import yaml
 
-from .core import RunReport
+from .core import RagateError, RunReport
 from .evalgate import CostModel
 from .features import (
     FEATURE_GROUPS,
@@ -50,7 +50,7 @@ _FEATURE_KEYS = {
 }
 
 
-class ConfigError(Exception):
+class ConfigError(RagateError):
     """The run config file is missing, malformed, or references absent paths."""
 
 

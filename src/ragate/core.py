@@ -15,6 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 __all__ = [
+    "RagateError",
     "DatasetError",
     "MalformedRecord",
     "DuplicateId",
@@ -28,12 +29,19 @@ __all__ = [
     "LabeledOutcome",
     "answer_outcomes",
     "in_accuracy",
+    "decode_json",
+    "parse_question",
     "load_dataset",
     "save_dataset",
 ]
 
 
-class DatasetError(Exception):
+class RagateError(Exception):
+    """Base class of every error this package raises for bad input: the CLI
+    reports each as ``error: ...`` and exits 1."""
+
+
+class DatasetError(RagateError):
     """Base class for dataset-file problems."""
 
 
@@ -203,43 +211,66 @@ _REQUIRED_FIELDS = (
 )
 
 
-def _parse_record(obj: dict, line_no: int) -> QuestionRecord:
+# The fields a serve request does not carry: a placeholder id and answers
+# that pass the dataset checks, so one parser reads requests and records.
+_REQUEST_FILL = {"id": "", "gold_answers": ["unused"], "answer_without_retrieval": "", "answer_with_retrieval": ""}
+
+
+def decode_json(line: str):
+    """The JSON value of one line; ValueError("invalid JSON: ...") if there is none."""
+    try:
+        return json.loads(line)
+    except ValueError as exc:  # a JSONDecodeError, or an integer literal past Python's digit limit
+        raise ValueError(f"invalid JSON: {getattr(exc, 'msg', exc)}") from None
+    except RecursionError:
+        raise ValueError("invalid JSON: nested too deeply") from None
+
+
+def parse_question(obj, request: bool = False) -> QuestionRecord:
+    """The record of a decoded question object; ValueError names its first bad field.
+
+    A dataset record carries every field in ``_REQUIRED_FIELDS``. A serve
+    ``request`` needs only ``question``; its record gets an empty id and
+    placeholder answers, and its other fields are checked as a record's are.
+    """
     if not isinstance(obj, dict):
-        raise MalformedRecord(line_no, "record is not an object")
+        raise ValueError("record is not an object")
+    if request:
+        obj = {**obj, **_REQUEST_FILL}
     for name in _REQUIRED_FIELDS:
         if name not in obj:
-            raise MalformedRecord(line_no, f"missing field {name!r}")
+            raise ValueError(f"missing field {name!r}")
     for name in ("id", "question", "answer_without_retrieval", "answer_with_retrieval"):
         if not isinstance(obj[name], str):
-            raise MalformedRecord(line_no, f"field {name!r} must be a string")
+            raise ValueError(f"field {name!r} must be a string")
     golds = obj["gold_answers"]
     if not isinstance(golds, list) or not golds:
-        raise MalformedRecord(line_no, "gold_answers must be a non-empty list")
+        raise ValueError("gold_answers must be a non-empty list")
     if not all(isinstance(g, str) for g in golds):
-        raise MalformedRecord(line_no, "gold_answers entries must be strings")
+        raise ValueError("gold_answers entries must be strings")
     if any(not normalize_text(g) for g in golds):
-        raise MalformedRecord(line_no, "gold answer normalizes to empty string")
+        raise ValueError("gold answer normalizes to empty string")
     contexts = obj.get("contexts", [])
     if not isinstance(contexts, list) or not all(isinstance(c, str) for c in contexts):
-        raise MalformedRecord(line_no, "contexts must be a list of strings")
+        raise ValueError("contexts must be a list of strings")
     tag = obj.get("dataset_tag", "")
     if not isinstance(tag, str):
-        raise MalformedRecord(line_no, "dataset_tag must be a string")
+        raise ValueError("dataset_tag must be a string")
     overrides = obj.get("feature_overrides", {})
     if overrides is None:
         overrides = {}
     if not isinstance(overrides, dict):
-        raise MalformedRecord(line_no, "feature_overrides must be a mapping")
+        raise ValueError("feature_overrides must be a mapping")
     clean_overrides: dict[str, float] = {}
     for key, value in overrides.items():
         if not isinstance(key, str) or isinstance(value, bool) or not isinstance(value, (int, float)):
-            raise MalformedRecord(line_no, "feature_overrides must map names to numbers")
+            raise ValueError("feature_overrides must map names to numbers")
         try:
             number = float(value)
         except OverflowError:
-            raise MalformedRecord(line_no, f"override {key!r} is too large for a float") from None
+            raise ValueError(f"override {key!r} is too large for a float") from None
         if not math.isfinite(number):
-            raise MalformedRecord(line_no, f"override {key!r} is not finite")
+            raise ValueError(f"override {key!r} is not finite")
         clean_overrides[key] = number
     return QuestionRecord(
         id=obj["id"],
@@ -251,6 +282,13 @@ def _parse_record(obj: dict, line_no: int) -> QuestionRecord:
         dataset_tag=tag,
         feature_overrides=clean_overrides,
     )
+
+
+def _parse_record(obj, line_no: int) -> QuestionRecord:
+    try:
+        return parse_question(obj)
+    except ValueError as exc:
+        raise MalformedRecord(line_no, str(exc)) from None
 
 
 def load_dataset(path) -> list[QuestionRecord]:
@@ -268,13 +306,9 @@ def load_dataset(path) -> list[QuestionRecord]:
             if not line.strip():
                 continue
             try:
-                obj = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise MalformedRecord(line_no, f"invalid JSON: {exc.msg}") from exc
-            except ValueError as exc:  # an integer literal past Python's digit limit
-                raise MalformedRecord(line_no, f"invalid JSON: {exc}") from exc
-            except RecursionError:
-                raise MalformedRecord(line_no, "invalid JSON: nested too deeply") from None
+                obj = decode_json(line)
+            except ValueError as exc:
+                raise MalformedRecord(line_no, str(exc)) from None
             record = _parse_record(obj, line_no)
             if record.id in seen:
                 raise DuplicateId(record.id)

@@ -1,4 +1,5 @@
-"""Evaluation harness: gate decisions, QA metrics, cost ledger, analyses.
+"""Evaluation harness: gate decisions, QA metrics, cost ledger, analyses,
+and the files ``evaluate`` writes and the lines ``serve`` prints.
 
 Quality is In-Accuracy (the chosen answer contains a gold answer after
 normalization); efficiency is an accounting ledger (LM calls, retrieval
@@ -8,13 +9,17 @@ calls, PFLOPs per question), never a profiled measurement.
 from __future__ import annotations
 
 import csv
+import hashlib
 import io
+import json
 from dataclasses import dataclass, field
+from pathlib import Path
 
 import numpy as np
 
-from .core import GateDecision, LabeledOutcome, QuestionRecord, RunReport, answer_outcomes, in_accuracy
-from .features import FeatureVector, SchemaMismatch
+from .core import GateDecision, LabeledOutcome, QuestionRecord, RagateError, RunReport, answer_outcomes, in_accuracy
+from .core import load_dataset
+from .features import FeatureVector, SchemaMismatch, read_features_tsv
 from .tabular.base import TabularDataset
 from .tabular.protocol import GateModel
 
@@ -24,7 +29,10 @@ __all__ = [
     "CostModel",
     "LabeledOutcome",
     "label_need_retrieval",
+    "load_labelled_table",
     "decide",
+    "response_line",
+    "error_line",
     "evaluate_method",
     "ideal_decisions",
     "standard_reports",
@@ -34,12 +42,13 @@ __all__ = [
     "accuracy_metric",
     "correlation_matrix",
     "render_report",
+    "write_evaluation",
 ]
 
 DEFAULT_THRESHOLD = 0.5
 
 
-class LengthMismatch(Exception):
+class LengthMismatch(RagateError):
     """Decisions and records disagree in length."""
 
 
@@ -96,6 +105,24 @@ def label_need_retrieval(record: QuestionRecord) -> int:
     return int(outcome.correct_with and not outcome.correct_without)
 
 
+def load_labelled_table(dataset_path, features_path, feature_names=None):
+    """A dataset's records, their ``features.tsv`` rows in record order labelled
+    by ``label_need_retrieval``, and the table's feature groups. ``feature_names``,
+    when given, must be the table's columns; that is checked before the join."""
+    records = load_dataset(dataset_path)
+    ids, entries, matrix = read_features_tsv(features_path)
+    names = tuple(name for name, _ in entries)
+    if feature_names is not None and names != tuple(feature_names):
+        raise SchemaMismatch("feature table columns do not match the model's training schema")
+    index = {row_id: i for i, row_id in enumerate(ids)}
+    missing = [r.id for r in records if r.id not in index]
+    if missing:
+        raise ValueError(f"feature table lacks rows for question ids {missing[:5]}")
+    y = np.array([label_need_retrieval(r) for r in records], dtype=np.int64)
+    data = TabularDataset(matrix[[index[r.id] for r in records]], y, names)
+    return records, data, tuple(group for _, group in entries)
+
+
 def ideal_decisions(records) -> list[bool]:
     """The oracle gate: retrieve exactly where it helps."""
     return [bool(label_need_retrieval(r)) for r in records]
@@ -109,6 +136,23 @@ def decide(model: GateModel, vector: FeatureVector, threshold: float = DEFAULT_T
         )
     score = float(model.predict_proba(vector.values[None, :])[0])
     return GateDecision(retrieve=bool(score >= threshold), score=score)
+
+
+def _json_line(obj: dict) -> str:
+    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
+
+
+def response_line(record_id: str, vector: FeatureVector, decision: GateDecision) -> str:
+    """The ``serve`` response to one question: its decision and its feature values by group."""
+    grouped: dict[str, dict[str, float]] = {}
+    for (name, group), value in zip(vector.schema.entries, vector.values):
+        grouped.setdefault(group, {})[name] = float(value)
+    return _json_line({"id": record_id, "retrieve": decision.retrieve, "score": decision.score, "features": grouped})
+
+
+def error_line(line_no: int, reason: str) -> str:
+    """The ``serve`` response to a request line that could not be decided."""
+    return _json_line({"error": {"line": line_no, "reason": reason}})
 
 
 def evaluate_method(method_name: str, decisions, records, cost: MethodCost = MethodCost()) -> RunReport:
@@ -243,3 +287,63 @@ def render_report(reports, fmt: str = "markdown") -> str:
             )
         return buf.getvalue()
     raise ValueError(f"unknown report format {fmt!r}; expected markdown or csv")
+
+
+def _sha256(path) -> str:
+    digest = hashlib.sha256()
+    with open(path, "rb") as fh:
+        for chunk in iter(lambda: fh.read(1 << 16), b""):
+            digest.update(chunk)
+    return digest.hexdigest()
+
+
+def write_evaluation(
+    out_dir, *, config, dataset, features, model, gate, data: TabularDataset, seed, threshold, reports, importance
+) -> dict[str, str]:
+    """Write report.md (a run header over the table), report.csv, importance.csv,
+    correlation.csv and run_meta.json to ``out_dir``; returns the table by format."""
+    meta = {
+        "command": "evaluate",
+        "seed": seed,
+        "threshold": threshold,
+        "dataset": {"path": dataset, "sha256": _sha256(dataset), "records": data.n},
+        "features_file": {"path": features, "sha256": _sha256(features)},
+        "model": {"path": model, "sha256": _sha256(model)},
+        "stores": {kind: {"path": p, "sha256": _sha256(p)} for kind, p in sorted(config.store_paths.items())},
+        "schema": [[name, group] for name, group in zip(gate.feature_names, gate.feature_groups)],
+        "cost_model": {
+            "default": vars(config.cost_model.default),
+            "methods": {k: vars(v) for k, v in sorted(config.cost_model.methods.items())},
+        },
+        "context_norm": config.context_norm,
+        "importance_repeats": config.importance_repeats,
+    }
+    names = data.feature_names
+    header = [
+        "# Retrieval gate evaluation",
+        "",
+        f"- seed: {seed}",
+        f"- threshold: {threshold}",
+        f"- dataset: {dataset} ({data.n} records, sha256 {meta['dataset']['sha256'][:12]})",
+        f"- model: {model} (sha256 {meta['model']['sha256'][:12]})",
+        f"- features: {len(names)} columns",
+        "",  # a blank line ends the list, so Markdown renders the table as a table
+    ]
+    tables = {fmt: render_report(reports, fmt) for fmt in ("markdown", "csv")}
+    labels = list(names) + ["label"]
+    corr = correlation_matrix(data.X, data.y)
+    files = {
+        "report.md": "\n".join(header) + "\n" + tables["markdown"],
+        "report.csv": tables["csv"],
+        "importance.csv": "".join(
+            ["feature,score\n"] + [f"{names[j]},{float(importance[j])!r}\n" for j in np.argsort(-importance, kind="stable")]
+        ),
+        "correlation.csv": "".join(
+            ["," + ",".join(labels) + "\n"]
+            + [label + "," + ",".join(repr(float(v)) for v in row) + "\n" for label, row in zip(labels, corr)]
+        ),
+        "run_meta.json": json.dumps(meta, sort_keys=True, indent=2) + "\n",
+    }
+    for name, text in files.items():
+        Path(out_dir, name).write_text(text, encoding="utf-8")
+    return tables

@@ -11,11 +11,12 @@ supported for ablation/hybrid runs.
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import EntityMention, QuestionRecord, normalize_text, tokenize
+from .core import EntityMention, QuestionRecord, RagateError, normalize_text, tokenize
 from .linker import Gazetteer, link, sidecar_mentions
 from .stores import (
     FrequencyStore,
@@ -48,16 +49,17 @@ __all__ = [
     "complexity_feature",
     "context_relevance_features",
     "extract_all",
+    "extract_matrix",
     "read_features_tsv",
     "write_features_tsv",
 ]
 
 
-class ModelMissing(Exception):
+class ModelMissing(RagateError):
     """A feature needs a store/model/override that was not provided."""
 
 
-class SchemaMismatch(Exception):
+class SchemaMismatch(RagateError):
     """Feature names disagree between two artifacts or inputs."""
 
 
@@ -473,12 +475,33 @@ def extract_all(
     return FeatureVector(schema=schema, values=np.array(values, dtype=np.float64))
 
 
+def extract_matrix(records, stores: StoreSet, models: ModelSet, schema: FeatureSchema, context_norm: float) -> np.ndarray:
+    """One ``extract_all`` row per record; an error names the question it came from."""
+    rows = []
+    for record in records:
+        try:
+            rows.append(extract_all(record, stores, models, schema, context_norm=context_norm).values)
+        except (ModelMissing, SchemaMismatch, ValueError) as exc:
+            raise type(exc)(f"question {record.id!r}: {exc}") from exc
+    return np.array(rows) if rows else np.empty((0, len(schema)))
+
+
 # ---------------------------------------------------------------------------
 # Feature table file format: '#' comments, header "id<TAB>names...", repr floats
 # ---------------------------------------------------------------------------
 
 
+# What would not read back as the id it was: a leading '#' (a comment line),
+# a tab or line break, or a lone surrogate, which UTF-8 cannot encode.
+_UNREADABLE_ID = re.compile("^#|[\t\n\r\ud800-\udfff]")
+
+
 def write_features_tsv(path, ids, schema: FeatureSchema, matrix: np.ndarray) -> None:
+    """An id ``read_features_tsv`` could not give back raises ValueError before any file is opened."""
+    for row_id in ids:
+        if _UNREADABLE_ID.search(row_id):
+            raise ValueError(f"question id {row_id!r} cannot be stored in features.tsv: "
+                             "it starts with '#' or holds a tab, a line break or a lone surrogate")
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("# per-question feature table\n")
         fh.write("# groups: " + " ".join(g for _, g in schema.entries) + "\n")

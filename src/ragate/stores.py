@@ -13,7 +13,7 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 
-from .core import tokenize
+from .core import RagateError, tokenize
 
 __all__ = [
     "StoreError",
@@ -37,7 +37,7 @@ __all__ = [
 TOTAL_TOKENS_KEY = "__total__"
 
 
-class StoreError(Exception):
+class StoreError(RagateError):
     """Base class for store-file problems."""
 
 

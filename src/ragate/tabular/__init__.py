@@ -27,6 +27,7 @@ from .protocol import (
     save_gate,
     selection_in_accuracy,
     train,
+    write_training_files,
 )
 from .scaler import Scaler, fit_scaler, transform
 from .trees import DecisionTreeModel, grow_tree, tree_predict
@@ -69,4 +70,5 @@ __all__ = [
     "gate_from_dict",
     "save_gate",
     "load_gate",
+    "write_training_files",
 ]

@@ -8,16 +8,18 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ..core import RagateError
 
-class DegenerateData(Exception):
+
+class DegenerateData(RagateError):
     """The training data cannot support the requested fit."""
 
 
-class InvalidHyperparameter(Exception):
+class InvalidHyperparameter(RagateError):
     """A hyperparameter name or value is outside the family's domain."""
 
 
-class EmptyGrid(Exception):
+class EmptyGrid(RagateError):
     """Grid search was asked to search zero candidate settings."""
 
 
@@ -115,6 +117,12 @@ def check_max_depth(max_depth):
     if max_depth is not None and max_depth < 1:
         raise InvalidHyperparameter(f"max_depth must be >= 1 or None, got {max_depth}")
     return max_depth
+
+
+def check_class_weight(class_weight):
+    """``class_weight`` if ``resolve_sample_weights`` takes it; it raises otherwise."""
+    resolve_sample_weights(np.array([0, 1]), class_weight)
+    return class_weight
 
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:

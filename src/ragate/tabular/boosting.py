@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 
 from .base import Family, InvalidHyperparameter, _sigmoid, check_max_depth, check_two_classes
-from .trees import Tree, grow_tree, tree_predict
+from .trees import Tree, check_max_features, grow_tree, tree_predict
 
 _LEAF_EPS = 1e-12
 
@@ -29,7 +29,7 @@ class GradientBoostingModel(Family):
         self.n_estimators = int(n_estimators)
         self.learning_rate = float(learning_rate)
         self.max_depth = check_max_depth(max_depth)
-        self.max_features = max_features
+        self.max_features = check_max_features(max_features)
         self.seed = seed
         self.base_score: float = 0.0
         self.trees: list = []

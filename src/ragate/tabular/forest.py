@@ -4,8 +4,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from .base import Family, InvalidHyperparameter, check_choice, check_max_depth, check_two_classes, resolve_sample_weights
-from .trees import _CRITERIA_CLS, Tree, grow_tree, laplace_leaf, tree_predict
+from .base import Family, InvalidHyperparameter, check_choice, check_class_weight, check_max_depth, check_two_classes
+from .base import resolve_sample_weights
+from .trees import _CRITERIA_CLS, Tree, check_max_features, grow_tree, laplace_leaf, tree_predict
 
 
 class RandomForestModel(Family):
@@ -30,9 +31,9 @@ class RandomForestModel(Family):
             raise InvalidHyperparameter(f"bootstrap must be boolean, got {bootstrap!r}")
         self.n_estimators = int(n_estimators)
         self.max_depth = check_max_depth(max_depth)
-        self.max_features = max_features
+        self.max_features = check_max_features(max_features)
         self.bootstrap = bootstrap
-        self.class_weight = class_weight
+        self.class_weight = check_class_weight(class_weight)
         self.seed = seed
         self.trees: list = []
 

@@ -71,7 +71,7 @@ def construct(family: str, params: dict, seed: int = 0):
     cls = family_class(family, params)
     try:
         return cls(**params, seed=seed)
-    except (TypeError, ValueError, OverflowError) as exc:
+    except (TypeError, ValueError, OverflowError, InvalidHyperparameter) as exc:
         raise InvalidHyperparameter(f"{family} setting {canonical_key(params)} is invalid: {exc}") from None
 
 

@@ -10,7 +10,8 @@ from __future__ import annotations
 import numpy as np
 from scipy import optimize
 
-from .base import Family, InvalidHyperparameter, _sigmoid, check_choice, check_two_classes, resolve_sample_weights
+from .base import Family, InvalidHyperparameter, _sigmoid, check_choice, check_class_weight, check_two_classes
+from .base import resolve_sample_weights
 
 _SOLVERS = ("lbfgs", "liblinear")
 
@@ -41,7 +42,7 @@ class LogisticRegressionModel(Family):
         if not C > 0:
             raise InvalidHyperparameter(f"C must be positive, got {C}")
         self.C = float(C)
-        self.class_weight = class_weight
+        self.class_weight = check_class_weight(class_weight)
         self.max_iter = int(max_iter)
         self.seed = seed
         self.weights: np.ndarray | None = None

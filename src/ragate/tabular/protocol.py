@@ -10,8 +10,10 @@ the full training set, and soft-vote them.
 from __future__ import annotations
 
 import json
+import os
 import time
 from dataclasses import dataclass, field
+from pathlib import Path
 
 import numpy as np
 
@@ -206,6 +208,29 @@ def end_to_end_train(
     )
 
 
+def render_training_report(provenance: dict) -> str:
+    """training_report.md: the selection, each family's best setting and its search history."""
+    families = provenance["families"]
+    lines = [
+        "# Gate training report",
+        "",
+        f"- master seed: {provenance['master_seed']}",
+        f"- per-setting seeds: {provenance['seeds']}",
+        f"- validation rows: {provenance['val_size']}",
+        f"- selected families: {' + '.join(provenance['selected'])}",
+        "",
+        "| Family | Validation InAcc | Best setting |",
+        "| --- | --- | --- |",
+    ]
+    for family, score in provenance["ranking"]:
+        lines.append(f"| {family} | {score:.4f} | `{canonical_key(families[family]['best_params'])}` |")
+    lines += ["", "## Search history"]
+    for family, _ in provenance["ranking"]:
+        lines += ["", f"### {family}", "", "| Setting | Mean validation InAcc |", "| --- | --- |"]
+        lines += [f"| `{canonical_key(e['params'])}` | {e['score']:.4f} |" for e in families[family]["history"]]
+    return "\n".join(lines) + "\n"
+
+
 # ---------------------------------------------------------------------------
 # Gate artifact I/O
 # ---------------------------------------------------------------------------
@@ -229,6 +254,15 @@ def save_gate(model: GateModel, path) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(gate_to_dict(model), fh, sort_keys=True, separators=(",", ":"))
         fh.write("\n")
+
+
+def write_training_files(model: GateModel, out_dir) -> list[str]:
+    """model.json, training_report.md and train_timings.json in ``out_dir``; returns their paths."""
+    paths = [os.path.join(out_dir, name) for name in ("model.json", "training_report.md", "train_timings.json")]
+    save_gate(model, paths[0])
+    Path(paths[1]).write_text(render_training_report(model.provenance), encoding="utf-8")
+    Path(paths[2]).write_text(json.dumps(model.timings, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+    return paths
 
 
 def _section(obj: dict, key: str, kind: type):

@@ -135,6 +135,12 @@ def resolve_max_features(max_features, n_features: int) -> int:
     raise InvalidHyperparameter(f"unsupported max_features {max_features!r}")
 
 
+def check_max_features(max_features):
+    """``max_features`` if ``resolve_max_features`` takes it: its rules do not depend on the column count."""
+    resolve_max_features(max_features, 1)
+    return max_features
+
+
 def _impurity_sum(w_pos: np.ndarray, w_tot: np.ndarray, criterion: str) -> np.ndarray:
     """Weighted child impurity; shapes broadcast, w_tot > 0 required."""
     p = w_pos / w_tot
@@ -316,8 +322,8 @@ class DecisionTreeModel(Family):
     def __init__(self, max_depth=None, max_features=None, criterion: str = "gini", splitter: str = "best", seed: int = 0):
         self.criterion = check_choice("criterion", criterion, _CRITERIA_CLS)
         self.max_depth = check_max_depth(max_depth)
-        self.max_features = max_features
-        self.splitter = splitter
+        self.max_features = check_max_features(max_features)
+        self.splitter = check_choice("splitter", splitter, _SPLITTERS)
         self.seed = seed
         self.tree: Tree | None = None
 

@@ -27,7 +27,7 @@ from importlib import resources
 import numpy as np
 from scipy import sparse
 
-from .core import tokenize
+from .core import RagateError, tokenize
 
 __all__ = [
     "DegenerateCorpus",
@@ -45,7 +45,7 @@ DEFAULT_DIM = 1 << 16
 _BIGRAM_SEP = "\x1f"
 
 
-class DegenerateCorpus(Exception):
+class DegenerateCorpus(RagateError):
     """Raised when a training corpus has fewer than two distinct labels."""
 
 

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 
 from ragate.cli import _parse_request, main, read_features_tsv, write_features_tsv
 from ragate.config import _TOP_LEVEL_KEYS, ConfigError, load_config
+from ragate.core import DatasetError, load_dataset
 from ragate.features import default_schema
 
 RARE = [("Q1", "zork"), ("Q2", "quux blim"), ("Q3", "vexal"), ("Q4", "prindle vast")]
@@ -125,6 +126,9 @@ def world(tmp_path_factory):
 # ---------------------------------------------------------------------------
 
 
+_TABLES = itertools.count()
+
+
 class TestFeaturesTsv:
     def test_round_trip(self, tmp_path):
         schema = default_schema()
@@ -175,6 +179,18 @@ class TestFeaturesTsv:
         path.write_text("# groups: g1\nid\tx\ty\nr0\t1.0\t2.0\n", encoding="utf-8")
         with pytest.raises(ValueError, match="groups comment"):
             read_features_tsv(path)
+
+    @settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(ids=st.lists(st.text(st.characters() | st.sampled_from("#\t\n\r\ud800 "), max_size=6), max_size=4))
+    def test_ids_read_back_or_no_file_is_written(self, tmp_path, ids):
+        schema = default_schema(groups=("graph",))
+        path = tmp_path / f"f-{next(_TABLES)}.tsv"
+        try:
+            write_features_tsv(path, ids, schema, np.zeros((len(ids), len(schema))))
+        except ValueError:
+            assert not path.exists()
+        else:
+            assert read_features_tsv(path)[0] == ids
 
     def test_floats_round_trip_exactly(self, tmp_path):
         schema = default_schema(groups=("graph",))
@@ -489,6 +505,19 @@ def test_bad_grid_value_fails_before_any_fit(world, tmp_path, capsys, monkeypatc
     _train_with_grids(world, tmp_path, capsys, grid, "max_depth must be >= 1 or None, got 0")
     grid = "logreg: {C: [1.0]}\ndtree: {max_depth: [3]}\nrforest: {n_estimators: [x]}\n"
     _train_with_grids(world, tmp_path, capsys, grid, "rforest setting")
+    # Values that only fit's own rules used to check: each constructor runs
+    # them now, and the error names the family and the setting.
+    for grid, message in [
+        ("logreg: {C: [1.0]}\ndtree: {max_depth: [3]}\nrforest: {max_features: [sqrt, x]}\n",
+         'rforest setting {"max_features": "x"} is invalid: unsupported max_features'),
+        ("logreg: {C: [1.0]}\ndtree: {splitter: [best, x]}\n",
+         'dtree setting {"splitter": "x"} is invalid: splitter must be one of'),
+        ("logreg: {class_weight: [{0: 1}]}\ndtree: {max_depth: [3]}\n",
+         'logreg setting {"class_weight": {"0": 1}} is invalid: class_weight dict must cover classes 0 and 1'),
+        ("logreg: {C: [1.0]}\ndtree: {max_depth: [3]}\nrforest: {class_weight: [x]}\n",
+         'rforest setting {"class_weight": "x"} is invalid: unsupported class_weight'),
+    ]:
+        _train_with_grids(world, tmp_path, capsys, grid, message)
 
 
 def _train_with_grids(world, tmp_path, capsys, text, message):
@@ -526,6 +555,18 @@ def test_infinite_context_norm_fails_cleanly(world, tmp_path, capsys):
     _fails_cleanly(capsys, ["extract", "--config", config, "--dataset", world["dataset"], "--out", str(tmp_path / "out")],
                    "context_norm must be finite, got inf")
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("bad_id", ["#hash-id", "tab\tid", "line\nid", "cr\rid", "\ud800"])
+def test_id_the_feature_table_cannot_carry_fails_extract(world, tmp_path, capsys, bad_id):
+    with open(world["dataset"], encoding="utf-8") as fh:
+        records = [json.loads(line) for line in fh]
+    records[1]["id"] = bad_id
+    dataset = tmp_path / "dataset.jsonl"
+    dataset.write_text("".join(json.dumps(r) + "\n" for r in records), encoding="utf-8")
+    _fails_cleanly(capsys, ["extract", "--config", world["config"], "--dataset", str(dataset), "--out", str(tmp_path / "out")],
+                   f"question id {bad_id!r} cannot be stored in features.tsv")
+    assert not (tmp_path / "out" / "features.tsv").exists()
 
 
 @pytest.mark.parametrize("command", ["evaluate", "serve"])
@@ -750,3 +791,35 @@ def test_parse_request_raises_only_value_error(line):
         _parse_request(line, 1)
     except ValueError:
         pass
+
+
+# Each request field as a well-formed value or any JSON value; the dataset
+# fields a request lacks (id and answers) are added for load_dataset.
+_REQUEST_FIELDS = {
+    "question": st.text(max_size=8) | JSON_VALUES,
+    "contexts": st.lists(st.text(max_size=8), max_size=3) | JSON_VALUES,
+    "feature_overrides": st.none() | st.dictionaries(st.text(max_size=6), JSON_VALUES, max_size=3) | JSON_VALUES,
+    "dataset_tag": st.text(max_size=8) | JSON_VALUES,
+}
+_DATASETS = itertools.count()
+
+
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(obj=st.fixed_dictionaries({}, optional=_REQUEST_FIELDS))
+def test_serve_and_dataset_parsers_agree(tmp_path, obj):
+    try:
+        request = _parse_request(json.dumps(obj), 1)
+    except ValueError:
+        request = None
+    dataset = tmp_path / f"dataset-{next(_DATASETS)}.jsonl"
+    answers = {"id": "q", "gold_answers": ["a"], "answer_without_retrieval": "", "answer_with_retrieval": "a"}
+    dataset.write_text(json.dumps({**obj, **answers}) + "\n", encoding="utf-8")
+    try:
+        (record,) = load_dataset(dataset)
+    except DatasetError:
+        record = None
+    assert (request is None) == (record is None)
+    if record is not None:
+        assert request.question == record.question
+        assert request.contexts == record.contexts
+        assert request.feature_overrides == record.feature_overrides

@@ -1,9 +1,12 @@
+import importlib
 import json
+import pkgutil
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import ragate
 from ragate.core import (
     DatasetError,
     DuplicateId,
@@ -11,6 +14,7 @@ from ragate.core import (
     GateDecision,
     MalformedRecord,
     QuestionRecord,
+    RagateError,
     RunReport,
     answer_is_correct,
     load_dataset,
@@ -240,3 +244,15 @@ def test_integer_literal_past_digit_limit_is_a_malformed_line(tmp_path):
     with pytest.raises(MalformedRecord) as info:
         load_dataset(path)
     assert info.value.line_no == 2
+
+
+def test_every_package_error_is_a_ragate_error():
+    # The CLI turns a RagateError into "error: ..."; any other type would
+    # reach the user as a traceback.
+    errors = []
+    for info in pkgutil.walk_packages(ragate.__path__, "ragate."):
+        module = importlib.import_module(info.name)
+        errors += [obj for obj in vars(module).values()
+                   if isinstance(obj, type) and issubclass(obj, Exception) and obj.__module__ == info.name]
+    assert RagateError in errors and len(errors) >= 16
+    assert [cls.__qualname__ for cls in errors if not issubclass(cls, RagateError)] == []
