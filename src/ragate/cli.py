@@ -21,7 +21,9 @@ from .evalgate import (
     standard_reports,
     write_evaluation,
 )
-from .features import FeatureSchema, ModelMissing, SchemaMismatch, extract_all, extract_matrix, write_features_tsv
+from .features import (
+    FeatureSchema, ModelMissing, SchemaMismatch, check_table_ids, extract_all, extract_matrix, write_features_tsv,
+)
 from .features import read_features_tsv  # noqa: F401 - callers import the table I/O from here
 from .tabular import end_to_end_train, load_gate, load_grids, write_training_files
 
@@ -66,6 +68,7 @@ def cmd_extract(args) -> int:
     stores = load_stores(config)
     models = load_models(config)
     records = load_dataset(args.dataset)
+    check_table_ids(r.id for r in records)
     matrix = extract_matrix(records, stores, models, schema, config.context_norm)
     out = _out_dir(args, config)
     path = os.path.join(out, "features.tsv")
@@ -121,7 +124,7 @@ def cmd_serve(args) -> int:
     config = load_config(args.config)
     threshold = check_threshold(args.threshold) if args.threshold is not None else config.threshold
     gate = load_gate(args.model)
-    schema = FeatureSchema.from_entries(tuple(zip(gate.feature_names, gate.feature_groups)))
+    schema = FeatureSchema(tuple(zip(gate.feature_names, gate.feature_groups)))
     stores = load_stores(config)
     models = load_models(config)
 

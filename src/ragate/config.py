@@ -9,23 +9,15 @@ import yaml
 
 from .core import RagateError, RunReport
 from .evalgate import CostModel
-from .features import (
-    FEATURE_GROUPS,
-    DEFAULT_CONTEXT_NORM,
-    FeatureSchema,
-    ModelSet,
-    StoreSet,
-    default_schema,
-)
+from .features import DEFAULT_CONTEXT_NORM, FeatureSchema, ModelSet, StoreSet, default_schema
 from .linker import build_gazetteer, load_entity_sidecar
-from .stores import load_store
+from .stores import STORE_KINDS, load_store
 from .textclf import TextClfConfig, load_text_classifier, load_toy_corpus, train_text_classifier
 
 __all__ = ["ConfigError", "RunConfig", "check_threshold", "load_config", "build_schema", "load_stores", "load_models"]
 
 BUILTIN_MODEL = "builtin"
 
-_STORE_KINDS = ("triples", "pageviews", "frequency", "knowledgability")
 _TOP_LEVEL_KEYS = {
     "stores",
     "gazetteer",
@@ -61,10 +53,7 @@ class RunConfig:
     sidecar_path: str | None = None
     qtype_model: str | None = None
     complexity_model: str | None = None
-    feature_groups: tuple[str, ...] | None = None
-    include_context_length: bool = True
-    knowledgability_aggregates: tuple[str, ...] = ("mean",)
-    override_features: tuple[str, ...] = ()
+    schema: FeatureSchema = field(default_factory=default_schema)
     context_norm: float = DEFAULT_CONTEXT_NORM
     grids_path: str | None = None
     cost_model: CostModel = field(default_factory=CostModel)
@@ -144,8 +133,8 @@ def load_config(path) -> RunConfig:
 
     store_paths = {}
     for kind, p in _mapping(raw, "stores").items():
-        if kind not in _STORE_KINDS:
-            raise ConfigError(f"unknown store kind {kind!r}; expected one of {_STORE_KINDS}")
+        if kind not in STORE_KINDS:
+            raise ConfigError(f"unknown store kind {kind!r}; expected one of {STORE_KINDS}")
         store_paths[kind] = resolve(p, f"{kind} store")
 
     gazetteer = raw.get("gazetteer")
@@ -168,12 +157,16 @@ def load_config(path) -> RunConfig:
     include_context_length = feats.get("include_context_length", True)
     if not isinstance(include_context_length, bool):
         raise ConfigError(f"include_context_length must be true or false, got {include_context_length!r}")
-    groups = None
-    if feats.get("groups") is not None:
-        groups = _string_list(feats, "groups", ())
-        bad = [g for g in groups if g not in FEATURE_GROUPS]
-        if bad:
-            raise ConfigError(f"unknown feature groups: {bad}")
+    groups = _string_list(feats, "groups", ()) if feats.get("groups") is not None else None
+    try:
+        schema = default_schema(
+            groups=groups,
+            include_context_length=include_context_length,
+            knowledgability_aggregates=_string_list(feats, "knowledgability_aggregates", ("mean",)),
+            override_features=_string_list(feats, "override_features", ()),
+        )
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
 
     raw_references = raw.get("references") or []
     if not isinstance(raw_references, list):
@@ -226,10 +219,7 @@ def load_config(path) -> RunConfig:
         sidecar_path=resolve(sidecar, "sidecar") if sidecar else None,
         qtype_model=model_path("qtype"),
         complexity_model=model_path("complexity"),
-        feature_groups=groups,
-        include_context_length=include_context_length,
-        knowledgability_aggregates=_string_list(feats, "knowledgability_aggregates", ("mean",)),
-        override_features=_string_list(feats, "override_features", ()),
+        schema=schema,
         context_norm=context_norm,
         grids_path=resolve(raw["grids"], "grids") if raw.get("grids") else None,
         cost_model=cost_model,
@@ -243,15 +233,7 @@ def load_config(path) -> RunConfig:
 
 
 def build_schema(config: RunConfig) -> FeatureSchema:
-    try:
-        return default_schema(
-            groups=config.feature_groups,
-            include_context_length=config.include_context_length,
-            knowledgability_aggregates=config.knowledgability_aggregates,
-            override_features=config.override_features,
-        )
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    return config.schema
 
 
 def load_stores(config: RunConfig) -> StoreSet:
@@ -260,14 +242,7 @@ def load_stores(config: RunConfig) -> StoreSet:
     if config.gazetteer_path:
         gazetteer = build_gazetteer(config.gazetteer_path, popularity=loaded.get("pageviews"))
     sidecar = load_entity_sidecar(config.sidecar_path) if config.sidecar_path else {}
-    return StoreSet(
-        triples=loaded.get("triples"),
-        pageviews=loaded.get("pageviews"),
-        frequency=loaded.get("frequency"),
-        knowledgability=loaded.get("knowledgability"),
-        gazetteer=gazetteer,
-        sidecar=sidecar,
-    )
+    return StoreSet(**loaded, gazetteer=gazetteer, sidecar=sidecar)
 
 
 def _load_or_train(setting: str | None, corpus_name: str):

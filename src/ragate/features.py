@@ -50,6 +50,7 @@ __all__ = [
     "context_relevance_features",
     "extract_all",
     "extract_matrix",
+    "check_table_ids",
     "read_features_tsv",
     "write_features_tsv",
 ]
@@ -78,15 +79,20 @@ QTYPE_CLASSES = (
 
 COMPLEXITY_CLASSES = ("onehop", "multihop")
 
-FEATURE_GROUPS = (
-    "graph",
-    "popularity",
-    "frequency",
-    "knowledgability",
-    "qtype",
-    "complexity",
-    "context",
-)
+# Each group, in canonical order, with the StoreSet attribute its values are
+# looked up in (None: computed from the question and contexts) and the upper
+# bound of its values; every group's values are >= 0. context_length is the
+# one feature whose bound is not its group's.
+_GROUPS = {
+    "graph": ("triples", math.inf),
+    "popularity": ("pageviews", math.inf),
+    "frequency": ("frequency", math.inf),
+    "knowledgability": ("knowledgability", 1.0),
+    "qtype": (None, 1.0),
+    "complexity": (None, 1.0),
+    "context": (None, 1.0),
+}
+FEATURE_GROUPS = tuple(_GROUPS)
 
 DEFAULT_CONTEXT_NORM = 512.0
 
@@ -140,64 +146,67 @@ def _group_entries(
     }
 
 
+_RANGE_EPS = 1e-9
+_SIMPLEX_TOL = 1e-6
+
+
 @dataclass(frozen=True)
 class FeatureSchema:
-    """Ordered (name, group) feature layout shared by extraction and models."""
+    """Ordered (name, group) feature layout shared by extraction and models.
+
+    The entries must follow the default layout group by group (feature
+    group "override" is free-form). Derived once from them: ``names``,
+    ``index`` (name to column), ``group_index`` (group to column array, in
+    order of first appearance), the per-column range ``lower``/``upper``
+    (unbounded for override features), ``include_context_length`` and
+    ``knowledgability_aggregates``.
+    """
 
     entries: tuple[tuple[str, str], ...]
-    include_context_length: bool = True
-    knowledgability_aggregates: tuple[str, ...] = ("mean",)
 
     def __post_init__(self):
-        names = [name for name, _ in self.entries]
+        entries = tuple((name, group) for name, group in self.entries)
+        names = tuple(name for name, _ in entries)
+        if not names:
+            raise ValueError("a feature schema needs at least one feature")
         if len(set(names)) != len(names):
             raise ValueError("feature names must be unique")
-        bad = [a for a in self.knowledgability_aggregates if a not in _KNOW_AGGREGATES]
-        if bad or not self.knowledgability_aggregates:
-            raise ValueError(f"knowledgability_aggregates must be a non-empty subset of {_KNOW_AGGREGATES}")
-        expected = _group_entries(self.include_context_length, self.knowledgability_aggregates)
-        for group in self.groups_present():
+        columns: dict[str, list[int]] = {}
+        for i, (_, group) in enumerate(entries):
+            columns.setdefault(group, []).append(i)
+        aggs = tuple(a for a in _KNOW_AGGREGATES if (f"knowledgability_{a}", "knowledgability") in entries)
+        with_length = ("context_length", "context") in entries
+        expected = _group_entries(with_length, aggs)
+        for group, idx in columns.items():
             if group == "override":
                 continue
             if group not in expected:
                 raise ValueError(f"unknown feature group {group!r}")
-            got = self.group_names(group)
+            got = tuple(names[i] for i in idx)
             if got != expected[group]:
                 raise ValueError(f"group {group!r} features {got} do not match schema flags {expected[group]}")
-
-    @property
-    def names(self) -> tuple[str, ...]:
-        return tuple(name for name, _ in self.entries)
+        upper = [math.inf if group == "override" or name == "context_length" else _GROUPS[group][1]
+                 for name, group in entries]
+        # frozen: the derived attributes are set once, here
+        self.__dict__.update(
+            entries=entries,
+            names=names,
+            index={name: i for i, name in enumerate(names)},
+            group_index={group: np.array(idx) for group, idx in columns.items()},
+            lower=np.array([-math.inf if group == "override" else -_RANGE_EPS for _, group in entries]),
+            upper=np.array(upper) + _RANGE_EPS,
+            include_context_length=with_length,
+            knowledgability_aggregates=aggs,
+        )
 
     def group_of(self, name: str) -> str:
-        for n, g in self.entries:
-            if n == name:
-                return g
-        raise KeyError(name)
-
-    def group_names(self, group: str) -> tuple[str, ...]:
-        return tuple(name for name, g in self.entries if g == group)
+        return self.entries[self.index[name]][1]
 
     def groups_present(self) -> tuple[str, ...]:
-        seen: dict[str, None] = {}
-        for _, g in self.entries:
-            seen.setdefault(g, None)
-        return tuple(seen)
+        return tuple(self.group_index)
 
     def __len__(self) -> int:
         return len(self.entries)
-
-    @classmethod
-    def from_entries(cls, entries) -> "FeatureSchema":
-        """Rebuild a schema from artifact-serialized (name, group) pairs."""
-        entries = tuple((str(n), str(g)) for n, g in entries)
-        names = {n for n, _ in entries}
-        aggs = tuple(a for a in _KNOW_AGGREGATES if f"knowledgability_{a}" in names)
-        return cls(
-            entries=entries,
-            include_context_length="context_length" in names,
-            knowledgability_aggregates=aggs or ("mean",),
-        )
 
 
 def default_schema(
@@ -216,21 +225,15 @@ def default_schema(
         groups = FEATURE_GROUPS
     unknown = [g for g in groups if g not in FEATURE_GROUPS]
     if unknown:
-        raise ValueError(f"unknown feature groups {unknown}")
+        raise ValueError(f"unknown feature groups: {unknown}")
+    if not knowledgability_aggregates or not set(knowledgability_aggregates) <= set(_KNOW_AGGREGATES):
+        raise ValueError(f"knowledgability_aggregates must be a non-empty subset of {_KNOW_AGGREGATES}, "
+                         f"got {list(knowledgability_aggregates)}")
     aggs = tuple(a for a in _KNOW_AGGREGATES if a in knowledgability_aggregates)
     table = _group_entries(include_context_length, aggs)
     entries = [(name, g) for g in FEATURE_GROUPS if g in groups for name in table[g]]
     entries.extend((name, "override") for name in override_features)
-    return FeatureSchema(
-        entries=tuple(entries),
-        include_context_length=include_context_length,
-        knowledgability_aggregates=aggs,
-    )
-
-
-_RANGE_EPS = 1e-9
-_SIMPLEX_TOL = 1e-6
-_UNIT_GROUPS = {"knowledgability", "qtype", "complexity"}
+    return FeatureSchema(tuple(entries))
 
 
 @dataclass(frozen=True)
@@ -241,25 +244,20 @@ class FeatureVector:
     values: np.ndarray
 
     def __post_init__(self):
+        schema = self.schema
         arr = np.asarray(self.values, dtype=np.float64)
-        if arr.ndim != 1 or arr.shape[0] != len(self.schema):
-            raise ValueError(f"expected {len(self.schema)} values, got shape {arr.shape}")
+        if arr.ndim != 1 or arr.shape[0] != len(schema):
+            raise ValueError(f"expected {len(schema)} values, got shape {arr.shape}")
         if not np.all(np.isfinite(arr)):
             raise ValueError("feature values must be finite")
-        for (name, group), value in zip(self.schema.entries, arr):
-            if group in ("graph", "popularity", "frequency") and value < -_RANGE_EPS:
-                raise ValueError(f"{name} must be non-negative, got {value}")
-            if group in _UNIT_GROUPS and not -_RANGE_EPS <= value <= 1.0 + _RANGE_EPS:
-                raise ValueError(f"{name} must lie in [0, 1], got {value}")
-            if group == "context":
-                if name == "context_length":
-                    if value < -_RANGE_EPS:
-                        raise ValueError(f"{name} must be non-negative, got {value}")
-                elif not -_RANGE_EPS <= value <= 1.0 + _RANGE_EPS:
-                    raise ValueError(f"{name} must lie in [0, 1], got {value}")
-        qtype_names = self.schema.group_names("qtype")
-        if len(qtype_names) == len(QTYPE_CLASSES):
-            total = float(sum(arr[self.schema.names.index(n)] for n in qtype_names))
+        outside = np.flatnonzero((arr < schema.lower) | (arr > schema.upper))
+        if outside.size:
+            i = outside[0]
+            rule = "be non-negative" if schema.upper[i] == math.inf else "lie in [0, 1]"
+            raise ValueError(f"{schema.names[i]} must {rule}, got {arr[i]}")
+        qtype = schema.group_index.get("qtype")
+        if qtype is not None:
+            total = sum(arr[qtype].tolist())
             if abs(total - 1.0) > _SIMPLEX_TOL:
                 raise ValueError(f"question-type block must sum to 1, got {total}")
         arr.setflags(write=False)
@@ -361,28 +359,23 @@ def knowledgability_features(mentions, know_store: KnowledgabilityStore, schema:
     return tuple(getattr(aggs, a) / 100.0 for a in schema.knowledgability_aggregates)
 
 
+def _class_probabilities(question: str, model: TextClassifier | None, classes, what: str) -> tuple[float, ...]:
+    if model is None:
+        raise ModelMissing(f"{what} model is required and no override was given")
+    if set(model.class_names) != set(classes):
+        raise SchemaMismatch(f"{what} model classes {sorted(model.class_names)} != {sorted(classes)}")
+    probs = dict(zip(model.class_names, model.predict_proba(question)))
+    return tuple(float(probs[c]) for c in classes)
+
+
 def question_type_features(question: str, qtype_model: TextClassifier | None) -> tuple[float, ...]:
     """Probability of each of the nine question-type classes, fixed order."""
-    if qtype_model is None:
-        raise ModelMissing("question-type model is required and no override was given")
-    if set(qtype_model.class_names) != set(QTYPE_CLASSES):
-        raise SchemaMismatch(
-            f"question-type model classes {sorted(qtype_model.class_names)} != {sorted(QTYPE_CLASSES)}"
-        )
-    probs = dict(zip(qtype_model.class_names, qtype_model.predict_proba(question)))
-    return tuple(float(probs[c]) for c in QTYPE_CLASSES)
+    return _class_probabilities(question, qtype_model, QTYPE_CLASSES, "question-type")
 
 
 def complexity_feature(question: str, complexity_model: TextClassifier | None) -> float:
     """Probability that answering needs more than one inference hop."""
-    if complexity_model is None:
-        raise ModelMissing("complexity model is required and no override was given")
-    if set(complexity_model.class_names) != set(COMPLEXITY_CLASSES):
-        raise SchemaMismatch(
-            f"complexity model classes {sorted(complexity_model.class_names)} != {sorted(COMPLEXITY_CLASSES)}"
-        )
-    probs = dict(zip(complexity_model.class_names, complexity_model.predict_proba(question)))
-    return float(probs["multihop"])
+    return _class_probabilities(question, complexity_model, COMPLEXITY_CLASSES, "complexity")[1]  # multihop
 
 
 def context_relevance_features(
@@ -400,13 +393,25 @@ def context_relevance_features(
     return tuple(out)
 
 
-_ENTITY_GROUPS = ("graph", "popularity", "frequency", "knowledgability")
-_GROUP_STORE_ATTR = {
-    "graph": "triples",
-    "popularity": "pageviews",
-    "frequency": "frequency",
-    "knowledgability": "knowledgability",
-}
+def _group_values(group: str, record: QuestionRecord, mentions, store, models: ModelSet,
+                  schema: FeatureSchema, context_norm: float) -> tuple[float, ...]:
+    # Each function is looked up by its module-level name at call time, so
+    # it can be swapped to observe or time the call.
+    if group == "graph":
+        return graph_features(mentions, store)
+    if group == "popularity":
+        return popularity_features(mentions, store)
+    if group == "frequency":
+        return frequency_features(mentions, record.question, store)
+    if group == "knowledgability":
+        return knowledgability_features(mentions, store, schema)
+    if group == "qtype":
+        return question_type_features(record.question, models.qtype)
+    if group == "complexity":
+        return (complexity_feature(record.question, models.complexity),)
+    return context_relevance_features(
+        record.question, record.contexts, include_length=schema.include_context_length, length_norm=context_norm
+    )
 
 
 def extract_all(
@@ -423,56 +428,30 @@ def extract_all(
     features is not overridden.
     """
     overrides = record.feature_overrides
-    known = set(schema.names)
     for name in overrides:
-        if name not in known:
+        if name not in schema.index:
             raise SchemaMismatch(f"override names unknown feature {name!r}")
-
     needed = {g for name, g in schema.entries if name not in overrides}
-    computed: dict[str, float] = {}
 
-    mentions: tuple[EntityMention, ...] = ()
-    if needed & set(_ENTITY_GROUPS):
-        mentions = collect_mentions(record, stores)
-    for group in _ENTITY_GROUPS:
-        if group not in needed:
+    values = np.empty(len(schema))
+    mentions = None
+    for group, columns in schema.group_index.items():
+        if group not in needed or group == "override":
             continue
-        store = getattr(stores, _GROUP_STORE_ATTR[group])
-        if store is None:
-            raise ModelMissing(f"{group} features need the {_GROUP_STORE_ATTR[group]} store")
-        if group == "graph":
-            block = graph_features(mentions, store)
-        elif group == "popularity":
-            block = popularity_features(mentions, store)
-        elif group == "frequency":
-            block = frequency_features(mentions, record.question, store)
-        else:
-            block = knowledgability_features(mentions, store, schema)
-        computed.update(zip(schema.group_names(group), block))
-
-    if "qtype" in needed:
-        block = question_type_features(record.question, models.qtype)
-        computed.update(zip(schema.group_names("qtype"), block))
-    if "complexity" in needed:
-        computed["complexity_multihop"] = complexity_feature(record.question, models.complexity)
-    if "context" in needed:
-        block = context_relevance_features(
-            record.question,
-            record.contexts,
-            include_length=schema.include_context_length,
-            length_norm=context_norm,
-        )
-        computed.update(zip(schema.group_names("context"), block))
-
-    values = []
-    for name, group in schema.entries:
-        if name in overrides:
-            values.append(float(overrides[name]))
-        elif group == "override":
-            raise ModelMissing(f"feature {name!r} must be supplied via feature_overrides")
-        else:
-            values.append(computed[name])
-    return FeatureVector(schema=schema, values=np.array(values, dtype=np.float64))
+        attr, store = _GROUPS[group][0], None
+        if attr is not None:
+            store = getattr(stores, attr)
+            if store is None:
+                raise ModelMissing(f"{group} features need the {attr} store")
+            if mentions is None:
+                mentions = collect_mentions(record, stores)
+        values[columns] = _group_values(group, record, mentions, store, models, schema, context_norm)
+    if "override" in needed:
+        name = next(n for n, g in schema.entries if g == "override" and n not in overrides)
+        raise ModelMissing(f"feature {name!r} must be supplied via feature_overrides")
+    for name, value in overrides.items():
+        values[schema.index[name]] = value
+    return FeatureVector(schema=schema, values=values)
 
 
 def extract_matrix(records, stores: StoreSet, models: ModelSet, schema: FeatureSchema, context_norm: float) -> np.ndarray:
@@ -496,12 +475,21 @@ def extract_matrix(records, stores: StoreSet, models: ModelSet, schema: FeatureS
 _UNREADABLE_ID = re.compile("^#|[\t\n\r\ud800-\udfff]")
 
 
-def write_features_tsv(path, ids, schema: FeatureSchema, matrix: np.ndarray) -> None:
-    """An id ``read_features_tsv`` could not give back raises ValueError before any file is opened."""
+def check_table_ids(ids) -> None:
+    """ValueError naming the first id ``read_features_tsv`` could not give back."""
+    seen = set()
     for row_id in ids:
         if _UNREADABLE_ID.search(row_id):
             raise ValueError(f"question id {row_id!r} cannot be stored in features.tsv: "
                              "it starts with '#' or holds a tab, a line break or a lone surrogate")
+        if row_id in seen:
+            raise ValueError(f"question id {row_id!r} repeats; features.tsv holds one row per id")
+        seen.add(row_id)
+
+
+def write_features_tsv(path, ids, schema: FeatureSchema, matrix: np.ndarray) -> None:
+    """An id ``read_features_tsv`` could not give back raises ValueError before any file is opened."""
+    check_table_ids(ids)
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("# per-question feature table\n")
         fh.write("# groups: " + " ".join(g for _, g in schema.entries) + "\n")
@@ -515,6 +503,7 @@ def read_features_tsv(path):
     groups = None
     header = None
     ids = []
+    seen = set()
     rows = []
     with open(path, encoding="utf-8") as fh:
         for line_no, line in enumerate(fh, start=1):
@@ -534,6 +523,9 @@ def read_features_tsv(path):
                 continue
             if len(cols) != len(header) + 1:
                 raise ValueError(f"{path}:{line_no}: expected {len(header) + 1} columns, got {len(cols)}")
+            if cols[0] in seen:
+                raise ValueError(f"{path}:{line_no}: duplicate id {cols[0]!r}")
+            seen.add(cols[0])
             ids.append(cols[0])
             try:
                 rows.append([float(v) for v in cols[1:]])

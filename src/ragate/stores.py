@@ -24,6 +24,7 @@ __all__ = [
     "PopularityStore",
     "FrequencyStore",
     "KnowledgabilityStore",
+    "STORE_KINDS",
     "load_store",
     "load_triple_store",
     "load_popularity_store",
@@ -248,6 +249,7 @@ _LOADERS = {
     "frequency": load_frequency_store,
     "knowledgability": load_knowledgability_store,
 }
+STORE_KINDS = tuple(_LOADERS)
 
 
 def load_store(kind: str, path):

@@ -4,6 +4,8 @@ import io
 import itertools
 import json
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -15,6 +17,9 @@ from ragate.cli import _parse_request, main, read_features_tsv, write_features_t
 from ragate.config import _TOP_LEVEL_KEYS, ConfigError, load_config
 from ragate.core import DatasetError, load_dataset
 from ragate.features import default_schema
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+MAKE_SYNTHETIC = os.path.join(ROOT, "scripts", "make_synthetic.py")
 
 RARE = [("Q1", "zork"), ("Q2", "quux blim"), ("Q3", "vexal"), ("Q4", "prindle vast")]
 POPULAR = [("Q5", "london"), ("Q6", "paris"), ("Q7", "blue whale"), ("Q8", "mount tall")]
@@ -172,6 +177,12 @@ class TestFeaturesTsv:
         path = tmp_path / "f.tsv"
         path.write_text("# only a comment\n", encoding="utf-8")
         with pytest.raises(ValueError, match="no header"):
+            read_features_tsv(path)
+
+    def test_repeated_id_rejected_with_line(self, tmp_path):
+        path = tmp_path / "f.tsv"
+        path.write_text("id\tx\na\t1.0\na\t2.0\n", encoding="utf-8")
+        with pytest.raises(ValueError, match=r"f\.tsv:3: duplicate id 'a'"):
             read_features_tsv(path)
 
     def test_group_count_mismatch_rejected(self, tmp_path):
@@ -569,6 +580,22 @@ def test_id_the_feature_table_cannot_carry_fails_extract(world, tmp_path, capsys
     assert not (tmp_path / "out" / "features.tsv").exists()
 
 
+def test_ids_are_checked_before_extraction(tmp_path, capsys):
+    # Two questions of the stock seed-7 world: the first id cannot be stored,
+    # the second question could not be extracted. The id is reported.
+    world = tmp_path / "seed7"
+    subprocess.run([sys.executable, MAKE_SYNTHETIC, "--out", str(world), "--seed", "7", "--n-train", "2", "--n-eval", "1"],
+                   env={**os.environ, "PYTHONPATH": os.path.join(ROOT, "src")}, check=True, capture_output=True)
+    with open(world / "train.jsonl", encoding="utf-8") as fh:
+        first, second = (json.loads(line) for line in fh)
+    first["id"] = "#" + first["id"]
+    second["feature_overrides"] = {"no_such_feature": 1}
+    dataset = tmp_path / "two.jsonl"
+    dataset.write_text(json.dumps(first) + "\n" + json.dumps(second) + "\n", encoding="utf-8")
+    _fails_cleanly(capsys, ["extract", "--config", str(world / "config.yaml"), "--dataset", str(dataset),
+                            "--out", str(tmp_path / "out")], "question id '#t0000' cannot be stored in features.tsv")
+
+
 @pytest.mark.parametrize("command", ["evaluate", "serve"])
 @pytest.mark.parametrize("value", ["7", "-0.1", "nan"])
 def test_threshold_flag_out_of_range(world, tmp_path, monkeypatch, capsys, command, value):
@@ -622,6 +649,21 @@ def test_unknown_feature_group_in_model_fails_serve_cleanly(world, tmp_path, mon
     monkeypatch.setattr("sys.stdin", io.StringIO('{"question": "who founded paris"}\n'))
     assert main(["serve", "--config", world["config"], "--model", str(model)]) == 1
     assert capsys.readouterr().err == "error: unknown feature group 'bogus'\n"
+
+
+def test_model_without_features_fails_serve_cleanly(world, tmp_path, monkeypatch, capsys):
+    with open(world["model"], encoding="utf-8") as fh:
+        gate = json.load(fh)
+    assert [m["family"] for m in gate["members"]] == ["logreg", "dtree"]
+    gate.update(feature_names=[], feature_groups=[], scaler={"mean": [], "std": []})
+    gate["members"][0]["state"]["weights"] = []
+    gate["members"][1]["state"]["tree"] = {"feature": [-1], "threshold": [0.0], "left": [-1], "right": [-1],
+                                           "value": [0.5], "n": [4]}
+    model = tmp_path / "model.json"
+    model.write_text(json.dumps(gate), encoding="utf-8")
+    monkeypatch.setattr("sys.stdin", io.StringIO('{"question": "who founded paris"}\n'))
+    _fails_cleanly(capsys, ["serve", "--config", world["config"], "--model", str(model)],
+                   "error: a feature schema needs at least one feature")
 
 
 class TestServe:
@@ -734,6 +776,11 @@ JSON_VALUES = st.recursive(
         ("features: 5", "features must be a mapping, got int"),
         ("features: {groups: 5}", "groups must be a list of strings"),
         ("features: {override_features: 5}", "override_features must be a list of strings"),
+        ("features: {groups: [embeddings]}", "unknown feature groups: ['embeddings']"),
+        ("features: {groups: []}", "a feature schema needs at least one feature"),
+        ("features: {knowledgability_aggregates: [median, mean]}",
+         "knowledgability_aggregates must be a non-empty subset of ('min', 'max', 'mean'), got ['median', 'mean']"),
+        ("features: {override_features: [popularity_min]}", "feature names must be unique"),
         ("references: 3", "references must be a list, got int"),
         ("threshold: [1]", "threshold is invalid"),
         ("seed: .inf", "seed is invalid"),

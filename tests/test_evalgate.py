@@ -229,7 +229,7 @@ def stub_gate(p_a=0.4, p_b=0.6, names=("a", "b")):
 
 
 def vector(names=("a", "b"), values=(0.0, 0.0)):
-    schema = FeatureSchema.from_entries([(n, "override") for n in names])
+    schema = FeatureSchema(tuple((n, "override") for n in names))
     return FeatureVector(schema=schema, values=np.asarray(values, dtype=np.float64))
 
 

@@ -5,12 +5,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ragate import features
 from ragate.features import (
     COMPLEXITY_CLASSES,
     FEATURE_GROUPS,
     QTYPE_CLASSES,
     Aggregates,
     FeatureSchema,
+    FeatureVector,
     ModelMissing,
     ModelSet,
     SchemaMismatch,
@@ -27,6 +29,7 @@ from ragate.features import (
     question_type_features,
 )
 from ragate.linker import link
+from ragate.stores import FrequencyStore, KnowledgabilityStore, PopularityStore, TripleCountStore
 
 from conftest import make_record, make_stores
 
@@ -98,6 +101,81 @@ class TestSchema:
         with pytest.raises(ValueError):
             default_schema(groups=("embeddings",))
 
+    def test_empty_schema_rejected(self):
+        with pytest.raises(ValueError, match="at least one feature"):
+            default_schema(groups=())
+        assert default_schema(groups=(), override_features=("ue_entropy",)).names == ("ue_entropy",)
+
+
+# The per-entry range and simplex loop that FeatureVector ran before its
+# checks were vectorized over the schema's bounds, kept as the reference.
+def reference_vector_check(schema, arr):
+    eps = features._RANGE_EPS
+    if not np.all(np.isfinite(arr)):
+        raise ValueError("feature values must be finite")
+    for (name, group), value in zip(schema.entries, arr):
+        if group in ("graph", "popularity", "frequency") and value < -eps:
+            raise ValueError(f"{name} must be non-negative, got {value}")
+        if group in ("knowledgability", "qtype", "complexity") and not -eps <= value <= 1.0 + eps:
+            raise ValueError(f"{name} must lie in [0, 1], got {value}")
+        if group == "context":
+            if name == "context_length":
+                if value < -eps:
+                    raise ValueError(f"{name} must be non-negative, got {value}")
+            elif not -eps <= value <= 1.0 + eps:
+                raise ValueError(f"{name} must lie in [0, 1], got {value}")
+    qtype_names = tuple(name for name, group in schema.entries if group == "qtype")
+    if len(qtype_names) == len(QTYPE_CLASSES):
+        total = float(sum(arr[schema.names.index(n)] for n in qtype_names))
+        if abs(total - 1.0) > features._SIMPLEX_TOL:
+            raise ValueError(f"question-type block must sum to 1, got {total}")
+
+
+_EPS = features._RANGE_EPS
+EDGE_VALUES = [
+    0.0, -0.0, 0.25, 1.0, 3.0, -3.0, 1e6, math.nan, math.inf, -math.inf,
+    -_EPS, np.nextafter(-_EPS, -1.0), 1.0 + _EPS, np.nextafter(1.0 + _EPS, 2.0),
+]
+
+
+def _error(check):
+    try:
+        check()
+    except ValueError as exc:
+        return str(exc)
+    return None
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    groups=st.sets(st.sampled_from(FEATURE_GROUPS)),
+    include_context_length=st.booleans(),
+    aggregates=st.sets(st.sampled_from(("min", "max", "mean")), min_size=1),
+    overrides=st.lists(st.sampled_from(("ue_a", "ue_b", "ue_c")), unique=True),
+    data=st.data(),
+)
+def test_vector_checks_match_the_reference_loop(groups, include_context_length, aggregates, overrides, data):
+    try:
+        schema = default_schema(tuple(groups), include_context_length, tuple(aggregates), tuple(overrides))
+    except ValueError:
+        assert not groups and not overrides
+        return
+    # A vector that passes: zeros, with the qtype block one-hot or spread
+    # evenly. Each entry in turn is set to an edge value, then a few at once.
+    base = np.zeros(len(schema))
+    qtype = [i for i, (_, group) in enumerate(schema.entries) if group == "qtype"]
+    if qtype:
+        if data.draw(st.booleans()):
+            base[qtype] = 1.0 / len(qtype)
+        else:
+            base[qtype[data.draw(st.integers(0, len(qtype) - 1))]] = 1.0
+    edits = [[i] for i in range(len(schema))] + [data.draw(st.lists(st.integers(0, len(schema) - 1), max_size=3))]
+    for positions in edits:
+        values = base.copy()
+        for i in positions:
+            values[i] = data.draw(st.sampled_from(EDGE_VALUES))
+        expected = _error(lambda: reference_vector_check(schema, values))
+        assert _error(lambda: FeatureVector(schema=schema, values=values)) == expected
 
 QUESTION = "was einstein born in new york city"
 
@@ -327,6 +405,39 @@ class TestExtractAll:
         record = make_record(question=QUESTION, overrides={"ue_entropy": 0.7})
         vector = extract_all(record, self.full_setup(), toy_models, schema)
         assert vector.as_dict()["ue_entropy"] == 0.7
+
+    def test_every_swappable_name_is_called(self, toy_models, monkeypatch):
+        # Timing tools swap these module attributes and store methods, so
+        # extract_all must reach each through its name at call time and pass
+        # context_relevance_features its options as keywords.
+        calls = set()
+
+        def spy(owner, attr, label):
+            original = getattr(owner, attr)
+
+            def traced(*args, **kwargs):
+                calls.add(label)
+                return original(*args, **kwargs)
+
+            monkeypatch.setattr(owner, attr, traced)
+
+        names = ("link", "graph_features", "popularity_features", "frequency_features", "knowledgability_features",
+                 "question_type_features", "complexity_feature")
+        for name in names:
+            spy(features, name, name)
+        context = features.context_relevance_features
+
+        def context_spy(question, contexts, **kwargs):
+            calls.add("context_relevance_features")
+            return context(question, contexts, **kwargs)
+
+        monkeypatch.setattr(features, "context_relevance_features", context_spy)
+        store_classes = (TripleCountStore, PopularityStore, FrequencyStore, KnowledgabilityStore)
+        for cls in store_classes:
+            spy(cls, "lookup", cls.__name__)
+        record = make_record(question=QUESTION, contexts=("einstein was born in ulm",))
+        extract_all(record, self.full_setup(), toy_models, default_schema())
+        assert calls == {*names, "context_relevance_features", *(cls.__name__ for cls in store_classes)}
 
     def test_values_read_only(self, toy_models):
         vector = extract_all(make_record(question=QUESTION), self.full_setup(), toy_models, default_schema())
