@@ -17,19 +17,7 @@ from __future__ import annotations
 import argparse
 import os
 
-from ragate.textclf import TextClfConfig, load_toy_corpus, save_text_classifier, train_text_classifier
-
-
-def read_corpus(path: str) -> list[tuple[str, str]]:
-    corpus = []
-    with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            line = line.rstrip("\n")
-            if not line.strip() or line.startswith("#") or line == "label\ttext":
-                continue
-            label, text = line.split("\t", 1)
-            corpus.append((text, label))
-    return corpus
+from ragate.textclf import TextClfConfig, load_toy_corpus, read_corpus, save_text_classifier, train_text_classifier
 
 
 def main() -> None:

@@ -25,6 +25,7 @@ from .features import (
     FeatureSchema, ModelMissing, SchemaMismatch, check_table_ids, extract_all, extract_matrix, write_features_tsv,
 )
 from .features import read_features_tsv  # noqa: F401 - callers import the table I/O from here
+from .stores import STORE_KINDS
 from .tabular import end_to_end_train, load_gate, load_grids, write_training_files
 
 _CLI_ERRORS = (RagateError, ValueError, OSError)
@@ -40,18 +41,13 @@ def cmd_ingest(args) -> int:
     config = load_config(args.config)
     stores = load_stores(config)
     lines = []
-    if stores.triples is not None:
-        lines.append(f"triples: {len(stores.triples.counts)} entities")
-    if stores.pageviews is not None:
-        lines.append(f"pageviews: {len(stores.pageviews.views)} entities")
-    if stores.frequency is not None:
-        lines.append(
-            f"frequency: {len(stores.frequency.frequencies)} terms, total tokens {stores.frequency.total_tokens}"
-        )
-    if stores.knowledgability is not None:
-        clamped = stores.knowledgability.clamp_warnings
-        suffix = f", {clamped} scores clamped to [0, 100]" if clamped else ""
-        lines.append(f"knowledgability: {len(stores.knowledgability.scores)} entities{suffix}")
+    for kind in STORE_KINDS:
+        store = getattr(stores, kind)
+        if store is None:
+            continue
+        detail = f"terms, total tokens {store.total_tokens}" if kind == "frequency" else "entities"
+        clamped = getattr(store, "clamp_warnings", 0)
+        lines.append(f"{kind}: {len(store)} {detail}" + (f", {clamped} scores clamped to [0, 100]" if clamped else ""))
     if stores.gazetteer is not None:
         lines.append(f"gazetteer: {len(stores.gazetteer.aliases)} aliases")
     if stores.sidecar:

@@ -18,12 +18,7 @@ import numpy as np
 
 from .core import EntityMention, QuestionRecord, RagateError, normalize_text, tokenize
 from .linker import Gazetteer, link, sidecar_mentions
-from .stores import (
-    FrequencyStore,
-    KnowledgabilityStore,
-    PopularityStore,
-    TripleCountStore,
-)
+from .stores import FrequencyStore, KeyedStore, KnowledgabilityStore, PopularityStore, TripleCountStore
 from .textclf import TextClassifier, relevance_score
 
 __all__ = [
@@ -149,6 +144,17 @@ def _group_entries(
 _RANGE_EPS = 1e-9
 _SIMPLEX_TOL = 1e-6
 
+# What would not read back from features.tsv as it was written: a leading
+# '#' (a comment line), a tab or line break, or a lone surrogate, which
+# UTF-8 cannot encode.
+_UNREADABLE = re.compile("^#|[\t\n\r\ud800-\udfff]")
+
+
+def _check_storable(what: str, text: str) -> None:
+    if _UNREADABLE.search(text):
+        raise ValueError(f"{what} {text!r} cannot be stored in features.tsv: "
+                         "it starts with '#' or holds a tab, a line break or a lone surrogate")
+
 
 @dataclass(frozen=True)
 class FeatureSchema:
@@ -171,6 +177,8 @@ class FeatureSchema:
             raise ValueError("a feature schema needs at least one feature")
         if len(set(names)) != len(names):
             raise ValueError("feature names must be unique")
+        for name in names:
+            _check_storable("feature name", name)
         columns: dict[str, list[int]] = {}
         for i, (_, group) in enumerate(entries):
             columns.setdefault(group, []).append(i)
@@ -299,30 +307,21 @@ def collect_mentions(record: QuestionRecord, stores: StoreSet) -> tuple[EntityMe
     return tuple(mentions)
 
 
-def _unique_kg_ids(mentions) -> list[str]:
-    return list(dict.fromkeys(m.kg_id for m in mentions))
+def _entity_values(mentions, store: KeyedStore) -> list:
+    """The store's values for the mentions' distinct kg_ids, in mention order; absent ids are skipped."""
+    found = (store.lookup(kg_id) for kg_id in dict.fromkeys(m.kg_id for m in mentions))
+    return [value for value in found if value is not None]
 
 
 def graph_features(mentions, triple_store: TripleCountStore) -> tuple[float, ...]:
     """log1p of subject- and object-count aggregates over linked entities."""
-    subj: list[float] = []
-    obj: list[float] = []
-    for kg_id in _unique_kg_ids(mentions):
-        counts = triple_store.lookup(kg_id)
-        if counts is None:
-            continue
-        subj.append(float(counts[0]))
-        obj.append(float(counts[1]))
-    out = aggregate(subj).as_tuple() + aggregate(obj).as_tuple()
+    counts = _entity_values(mentions, triple_store)
+    out = aggregate([float(s) for s, _ in counts]).as_tuple() + aggregate([float(o) for _, o in counts]).as_tuple()
     return tuple(math.log1p(v) for v in out)
 
 
 def popularity_features(mentions, popularity_store: PopularityStore) -> tuple[float, ...]:
-    views = []
-    for kg_id in _unique_kg_ids(mentions):
-        v = popularity_store.lookup(kg_id)
-        if v is not None:
-            views.append(float(v))
+    views = [float(v) for v in _entity_values(mentions, popularity_store)]
     return tuple(math.log1p(v) for v in aggregate(views).as_tuple())
 
 
@@ -350,12 +349,7 @@ def frequency_features(mentions, question: str, frequency_store: FrequencyStore)
 
 
 def knowledgability_features(mentions, know_store: KnowledgabilityStore, schema: FeatureSchema) -> tuple[float, ...]:
-    scores = []
-    for kg_id in _unique_kg_ids(mentions):
-        s = know_store.lookup(kg_id)
-        if s is not None:
-            scores.append(float(s))
-    aggs = aggregate(scores)
+    aggs = aggregate([float(s) for s in _entity_values(mentions, know_store)])
     return tuple(getattr(aggs, a) / 100.0 for a in schema.knowledgability_aggregates)
 
 
@@ -470,18 +464,11 @@ def extract_matrix(records, stores: StoreSet, models: ModelSet, schema: FeatureS
 # ---------------------------------------------------------------------------
 
 
-# What would not read back as the id it was: a leading '#' (a comment line),
-# a tab or line break, or a lone surrogate, which UTF-8 cannot encode.
-_UNREADABLE_ID = re.compile("^#|[\t\n\r\ud800-\udfff]")
-
-
 def check_table_ids(ids) -> None:
     """ValueError naming the first id ``read_features_tsv`` could not give back."""
     seen = set()
     for row_id in ids:
-        if _UNREADABLE_ID.search(row_id):
-            raise ValueError(f"question id {row_id!r} cannot be stored in features.tsv: "
-                             "it starts with '#' or holds a tab, a line break or a lone surrogate")
+        _check_storable("question id", row_id)
         if row_id in seen:
             raise ValueError(f"question id {row_id!r} repeats; features.tsv holds one row per id")
         seen.add(row_id)

@@ -12,7 +12,7 @@ import unicodedata
 from dataclasses import dataclass
 
 from .core import EntityMention, normalize_text
-from .stores import MalformedRow, PopularityStore, _read_table
+from .stores import MalformedRow, PopularityStore, read_rows
 
 __all__ = ["Gazetteer", "build_gazetteer", "link", "load_entity_sidecar", "sidecar_mentions"]
 
@@ -36,15 +36,14 @@ def build_gazetteer(path, popularity: PopularityStore | None = None) -> Gazettee
     pageview count (absent entities count as 0 views); otherwise, and on
     ties, the first occurrence wins.
     """
-    _, rows = _read_table(path, ("alias", "kg_id"))
     aliases: dict[str, str] = {}
     views: dict[str, int] = {}
-    for line_no, (alias_raw, kg_id) in rows:
+    for line_no, (alias_raw, kg_id) in read_rows(path, ("alias", "kg_id")):
         alias = normalize_text(alias_raw)
         if not alias:
-            raise MalformedRow(line_no, f"alias {alias_raw!r} normalizes to empty")
+            raise MalformedRow(path, line_no, f"alias {alias_raw!r} normalizes to empty")
         if not kg_id.strip():
-            raise MalformedRow(line_no, "empty kg_id")
+            raise MalformedRow(path, line_no, "empty kg_id")
         if popularity is None:
             aliases.setdefault(alias, kg_id)
             continue
@@ -120,11 +119,10 @@ def load_entity_sidecar(path) -> dict[str, list[str]]:
 
     Rows for the same id accumulate in file order.
     """
-    _, rows = _read_table(path, ("id", "kg_id"))
     linked: dict[str, list[str]] = {}
-    for line_no, (record_id, kg_id) in rows:
+    for line_no, (record_id, kg_id) in read_rows(path, ("id", "kg_id")):
         if not record_id.strip() or not kg_id.strip():
-            raise MalformedRow(line_no, "empty id or kg_id")
+            raise MalformedRow(path, line_no, "empty id or kg_id")
         linked.setdefault(record_id, []).append(kg_id)
     return linked
 

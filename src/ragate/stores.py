@@ -1,41 +1,38 @@
 """Immutable key->value knowledge stores backing entity-derived features.
 
 All stores load from UTF-8 tab-separated files with a mandatory header row.
-Lines starting with '#' are comments and are ignored (snapshot files use
-them to record provenance such as the pageview window). Missing keys are
-reported as absent (None), never as zero, so callers can distinguish
-unknown entities from genuinely zero-count ones.
+Blank lines and lines starting with '#' are skipped anywhere in the file.
+Missing keys are reported as absent (None), never as zero, so callers can
+distinguish unknown entities from genuinely zero-count ones.
 """
 
 from __future__ import annotations
 
 import math
-from collections import Counter
 from dataclasses import dataclass
 
-from .core import RagateError, tokenize
+from .core import RagateError
 
 __all__ = [
     "StoreError",
     "MalformedRow",
     "DuplicateKey",
     "MissingHeader",
+    "KeyedStore",
     "TripleCountStore",
     "PopularityStore",
     "FrequencyStore",
     "KnowledgabilityStore",
     "STORE_KINDS",
+    "read_rows",
     "load_store",
-    "load_triple_store",
-    "load_popularity_store",
-    "load_frequency_store",
-    "load_knowledgability_store",
-    "build_frequency_table",
-    "write_frequency_store",
     "TOTAL_TOKENS_KEY",
 ]
 
 TOTAL_TOKENS_KEY = "__total__"
+# Every integer up to 2**53 converts to a float64 exactly; a larger count
+# would make the log1p features overflow or round.
+MAX_COUNT = 2**53
 
 
 class StoreError(RagateError):
@@ -43,16 +40,15 @@ class StoreError(RagateError):
 
 
 class MalformedRow(StoreError):
-    def __init__(self, line_no: int, reason: str):
-        super().__init__(f"line {line_no}: {reason}")
+    def __init__(self, path, line_no: int, reason: str):
+        super().__init__(f"{path}: line {line_no}: {reason}")
         self.line_no = line_no
         self.reason = reason
 
 
 class DuplicateKey(StoreError):
-    def __init__(self, key: str, line_no: int | None = None):
-        where = f" (line {line_no})" if line_no is not None else ""
-        super().__init__(f"duplicate key {key!r}{where}")
+    def __init__(self, path, key: str, line_no: int):
+        super().__init__(f"{path}: duplicate key {key!r} (line {line_no})")
         self.key = key
 
 
@@ -61,225 +57,162 @@ class MissingHeader(StoreError):
 
 
 @dataclass(frozen=True)
-class TripleCountStore:
+class KeyedStore:
+    """key -> value table, one entry per data row of its file."""
+
+    table: dict
+
+    def lookup(self, key: str):
+        return self.table.get(key)
+
+    def __len__(self) -> int:
+        return len(self.table)
+
+
+class TripleCountStore(KeyedStore):
     """kg_id -> (count as triple subject, count as triple object)."""
 
-    counts: dict[str, tuple[int, int]]
-    comments: tuple[str, ...] = ()
 
-    def lookup(self, kg_id: str) -> tuple[int, int] | None:
-        return self.counts.get(kg_id)
-
-    def __len__(self) -> int:
-        return len(self.counts)
-
-
-@dataclass(frozen=True)
-class PopularityStore:
+class PopularityStore(KeyedStore):
     """kg_id -> page views over the snapshot's reference window."""
 
-    views: dict[str, int]
-    comments: tuple[str, ...] = ()
-
-    def lookup(self, kg_id: str) -> int | None:
-        return self.views.get(kg_id)
-
-    def __len__(self) -> int:
-        return len(self.views)
-
 
 @dataclass(frozen=True)
-class FrequencyStore:
+class FrequencyStore(KeyedStore):
     """term -> corpus frequency, plus the corpus total token count."""
 
-    frequencies: dict[str, int]
     total_tokens: int
-    comments: tuple[str, ...] = ()
-
-    def lookup(self, term: str) -> int | None:
-        return self.frequencies.get(term)
-
-    def __len__(self) -> int:
-        return len(self.frequencies)
 
 
 @dataclass(frozen=True)
-class KnowledgabilityStore:
-    """kg_id -> precomputed knowledge score in [0, 100].
+class KnowledgabilityStore(KeyedStore):
+    """kg_id -> precomputed knowledge score in [0, 100]; ``clamp_warnings``
+    counts the rows whose score lay outside the range and was clamped at load."""
 
-    ``clamp_warnings`` counts source rows whose score fell outside the
-    range and was clamped at load.
-    """
-
-    scores: dict[str, float]
     clamp_warnings: int = 0
-    comments: tuple[str, ...] = ()
-
-    def lookup(self, kg_id: str) -> float | None:
-        return self.scores.get(kg_id)
-
-    def __len__(self) -> int:
-        return len(self.scores)
 
 
-def _read_table(path, expected_header: tuple[str, ...]):
-    """Read a TSV snapshot into (leading comments, [(line_no, columns)]).
+def read_rows(path, header: tuple[str, ...]):
+    """Yield ``(line_no, columns)`` for each data row of a TSV file, in file order.
 
-    Validates the header row and per-row arity; comment and blank lines are
-    skipped anywhere in the file.
+    The first line that is neither blank nor a comment must equal ``header``
+    (else MissingHeader), and every later one must have its width (else MalformedRow).
     """
-    comments: list[str] = []
-    rows: list[tuple[int, list[str]]] = []
     header_seen = False
     with open(path, encoding="utf-8") as fh:
         for line_no, raw in enumerate(fh, start=1):
             line = raw.rstrip("\n").rstrip("\r")
-            if not line.strip():
-                continue
-            if line.lstrip().startswith("#"):
-                if not header_seen:
-                    comments.append(line.lstrip()[1:].strip())
+            if not line.strip() or line.lstrip().startswith("#"):
                 continue
             cols = line.split("\t")
-            if not header_seen:
-                if tuple(cols) != expected_header:
-                    raise MissingHeader(
-                        f"{path}: expected header {list(expected_header)}, got {cols}"
-                    )
+            if header_seen:
+                if len(cols) != len(header):
+                    raise MalformedRow(path, line_no, f"expected {len(header)} columns, got {len(cols)}")
+                yield line_no, cols
+            elif tuple(cols) == header:
                 header_seen = True
-                continue
-            if len(cols) != len(expected_header):
-                raise MalformedRow(line_no, f"expected {len(expected_header)} columns, got {len(cols)}")
-            rows.append((line_no, cols))
+            else:
+                raise MissingHeader(f"{path}: expected header {list(header)}, got {cols}")
     if not header_seen:
         raise MissingHeader(f"{path}: no header row found")
-    return tuple(comments), rows
 
 
-def _parse_count(text: str, line_no: int, what: str) -> int:
+class _BadValue(StoreError):
+    """A column value's fault; ``_table`` reraises it as MalformedRow with the path and line."""
+
+
+def _table(path, header: tuple[str, ...], parse) -> dict:
+    """``{key: parse(key, *values)}`` over the rows; a repeated key raises DuplicateKey."""
+    table = {}
+    for line_no, (key, *values) in read_rows(path, header):
+        if key in table:
+            raise DuplicateKey(path, key, line_no)
+        try:
+            table[key] = parse(key, *values)
+        except _BadValue as exc:
+            raise MalformedRow(path, line_no, str(exc)) from None
+    return table
+
+
+def _count(what: str, text: str) -> int:
     try:
         value = int(text, 10)
     except ValueError:
-        raise MalformedRow(line_no, f"{what} is not a base-10 integer: {text!r}") from None
+        raise _BadValue(f"{what} is not a base-10 integer: {text!r}") from None
     if value < 0:
-        raise MalformedRow(line_no, f"{what} must be non-negative, got {value}")
+        raise _BadValue(f"{what} must be non-negative, got {value}")
+    if value > MAX_COUNT:
+        raise _BadValue(f"{what} must be at most 2**53, got {text!r}")
     return value
 
 
-def load_triple_store(path) -> TripleCountStore:
-    comments, rows = _read_table(path, ("kg_id", "subject_count", "object_count"))
-    counts: dict[str, tuple[int, int]] = {}
-    for line_no, (kg_id, subj, obj) in rows:
-        if kg_id in counts:
-            raise DuplicateKey(kg_id, line_no)
-        counts[kg_id] = (
-            _parse_count(subj, line_no, "subject_count"),
-            _parse_count(obj, line_no, "object_count"),
-        )
-    return TripleCountStore(counts=counts, comments=comments)
+def _score(_, text: str) -> float:
+    try:
+        score = float(text)
+    except ValueError:
+        raise _BadValue(f"score is not a number: {text!r}") from None
+    if not math.isfinite(score):
+        raise _BadValue(f"score is not finite: {text!r}")
+    return score
 
 
-def load_popularity_store(path) -> PopularityStore:
-    comments, rows = _read_table(path, ("kg_id", "views"))
-    views: dict[str, int] = {}
-    for line_no, (kg_id, count) in rows:
-        if kg_id in views:
-            raise DuplicateKey(kg_id, line_no)
-        views[kg_id] = _parse_count(count, line_no, "views")
-    return PopularityStore(views=views, comments=comments)
+def _triple(_, subject: str, object_: str) -> tuple[int, int]:
+    return _count("subject_count", subject), _count("object_count", object_)
 
 
-def load_frequency_store(path) -> FrequencyStore:
-    """Load a term-frequency table.
+def _views(_, text: str) -> int:
+    return _count("views", text)
 
-    The file must contain exactly one row whose term is ``__total__``; its
-    count is the corpus token total and every other frequency must not
-    exceed it.
-    """
-    comments, rows = _read_table(path, ("term", "count"))
-    frequencies: dict[str, int] = {}
-    row_lines: dict[str, int] = {}
-    total: int | None = None
-    last_line = 1
-    for line_no, (term, count_text) in rows:
-        last_line = line_no
-        count = _parse_count(count_text, line_no, "count")
-        if term == TOTAL_TOKENS_KEY:
-            if total is not None:
-                raise DuplicateKey(TOTAL_TOKENS_KEY, line_no)
-            if count <= 0:
-                raise MalformedRow(line_no, "total token count must be positive")
-            total = count
-            continue
-        if term in frequencies:
-            raise DuplicateKey(term, line_no)
-        frequencies[term] = count
-        row_lines[term] = line_no
+
+def _frequency(term: str, text: str) -> int:
+    count = _count("count", text)
+    if term == TOTAL_TOKENS_KEY and count == 0:
+        raise _BadValue("total token count must be positive")
+    return count
+
+
+def _load_frequency(path) -> FrequencyStore:
+    """The ``__total__`` row holds the corpus token total, which no other
+    count may exceed; both checks need every row, so they run after the
+    per-row ones and read the file again only to name the line at fault."""
+    header = ("term", "count")
+    table = _table(path, header, _frequency)
+    total = table.pop(TOTAL_TOKENS_KEY, None)
     if total is None:
-        raise MalformedRow(last_line + 1, f"no {TOTAL_TOKENS_KEY!r} row with the corpus token total")
-    for term, freq in frequencies.items():
-        if freq > total:
-            raise MalformedRow(row_lines[term], f"frequency of {term!r} exceeds total tokens ({freq} > {total})")
-    return FrequencyStore(frequencies=frequencies, total_tokens=total, comments=comments)
+        last = max((line_no for line_no, _ in read_rows(path, header)), default=1)
+        raise MalformedRow(path, last + 1, f"no {TOTAL_TOKENS_KEY!r} row with the corpus token total")
+    over = next((term for term, count in table.items() if count > total), None)
+    if over is not None:
+        line_no = next(n for n, (term, _) in read_rows(path, header) if term == over)
+        raise MalformedRow(path, line_no, f"frequency of {over!r} exceeds total tokens ({table[over]} > {total})")
+    return FrequencyStore(table, total_tokens=total)
 
 
-def load_knowledgability_store(path) -> KnowledgabilityStore:
-    comments, rows = _read_table(path, ("kg_id", "score"))
-    scores: dict[str, float] = {}
-    clamped = 0
-    for line_no, (kg_id, score_text) in rows:
-        if kg_id in scores:
-            raise DuplicateKey(kg_id, line_no)
-        try:
-            score = float(score_text)
-        except ValueError:
-            raise MalformedRow(line_no, f"score is not a number: {score_text!r}") from None
-        if not math.isfinite(score):
-            raise MalformedRow(line_no, f"score is not finite: {score_text!r}")
-        if score < 0.0 or score > 100.0:
-            score = min(max(score, 0.0), 100.0)
-            clamped += 1
-        scores[kg_id] = score
-    return KnowledgabilityStore(scores=scores, clamp_warnings=clamped, comments=comments)
+def _load_knowledgability(path) -> KnowledgabilityStore:
+    scores = _table(path, ("kg_id", "score"), _score)
+    clamped = [kg_id for kg_id, score in scores.items() if score < 0.0 or score > 100.0]
+    for kg_id in clamped:
+        scores[kg_id] = min(max(scores[kg_id], 0.0), 100.0)
+    return KnowledgabilityStore(scores, clamp_warnings=len(clamped))
 
 
 _LOADERS = {
-    "triples": load_triple_store,
-    "pageviews": load_popularity_store,
-    "frequency": load_frequency_store,
-    "knowledgability": load_knowledgability_store,
+    "triples": lambda path: TripleCountStore(_table(path, ("kg_id", "subject_count", "object_count"), _triple)),
+    "pageviews": lambda path: PopularityStore(_table(path, ("kg_id", "views"), _views)),
+    "frequency": _load_frequency,
+    "knowledgability": _load_knowledgability,
 }
 STORE_KINDS = tuple(_LOADERS)
 
 
-def load_store(kind: str, path):
-    """Dispatch to the typed loader for ``kind``.
+def load_store(kind: str, path) -> KeyedStore:
+    """The store of ``kind`` (one of STORE_KINDS) read from ``path``.
 
-    kind is one of: triples, pageviews, frequency, knowledgability.
+    Each fault raises a StoreError that names the file and, for a row, its
+    line; the first faulty line in file order is the one reported.
     """
     try:
         loader = _LOADERS[kind]
     except KeyError:
         raise ValueError(f"unknown store kind {kind!r}; expected one of {sorted(_LOADERS)}") from None
     return loader(path)
-
-
-def build_frequency_table(texts) -> tuple[Counter, int]:
-    """Summarize a tokenized corpus into (term counts, total token count)."""
-    counts: Counter = Counter()
-    total = 0
-    for text in texts:
-        tokens = tokenize(text)
-        counts.update(tokens)
-        total += len(tokens)
-    return counts, total
-
-
-def write_frequency_store(path, counts: Counter, total_tokens: int, comments: tuple[str, ...] = ()) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        for comment in comments:
-            fh.write(f"# {comment}\n")
-        fh.write("term\tcount\n")
-        fh.write(f"{TOTAL_TOKENS_KEY}\t{total_tokens}\n")
-        for term in sorted(counts):
-            fh.write(f"{term}\t{counts[term]}\n")

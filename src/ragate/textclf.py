@@ -27,7 +27,8 @@ from importlib import resources
 import numpy as np
 from scipy import sparse
 
-from .core import RagateError, tokenize
+from .core import RagateError, decode_json, tokenize
+from .stores import read_rows
 
 __all__ = [
     "DegenerateCorpus",
@@ -38,6 +39,7 @@ __all__ = [
     "softmax_loss_and_grad",
     "save_text_classifier",
     "load_text_classifier",
+    "read_corpus",
     "load_toy_corpus",
 ]
 
@@ -243,36 +245,40 @@ def save_text_classifier(model: TextClassifier, path) -> None:
 
 
 def classifier_from_dict(obj: dict) -> TextClassifier:
-    if obj.get("kind") != "text-classifier":
+    """Rebuild a classifier from its artifact; anything malformed raises ValueError."""
+    if not isinstance(obj, dict) or obj.get("kind") != "text-classifier":
         raise ValueError("not a text-classifier artifact")
-    dim = int(obj["dim"])
-    class_names = tuple(obj["class_names"])
-    bias = np.array(obj["bias"], dtype=np.float64)
-    if bias.shape != (len(class_names),):
-        raise ValueError("bias length does not match class_names")
-    weight_columns = sorted(
-        ((int(col_text), column) for col_text, column in obj["weights"].items()), key=lambda item: item[0]
-    )
-    for i, (col, column) in enumerate(weight_columns):
-        if not 0 <= col < dim:
-            raise ValueError(f"weight column {col} outside declared dimension {dim}")
-        if i and col == weight_columns[i - 1][0]:
-            raise ValueError(f"weight column {col} given twice")
-        if len(column) != len(class_names):
-            raise ValueError(f"weight column {col} does not match class count")
-    return TextClassifier(
-        class_names=class_names,
-        dim=dim,
-        columns=np.array([col for col, _ in weight_columns], dtype=np.int64),
-        weights=np.array([column for _, column in weight_columns], dtype=np.float64).reshape(-1, len(class_names)),
-        bias=bias,
-        training_meta=obj.get("training_meta", {}),
-    )
+    missing = [key for key in ("dim", "class_names", "bias", "weights") if key not in obj]
+    if missing:
+        raise ValueError(f"text-classifier artifact lacks {missing}")
+    dim, names, weights, meta = obj["dim"], obj["class_names"], obj["weights"], obj.get("training_meta", {})
+    if type(dim) is not int or dim < 1:
+        raise ValueError(f"text-classifier dim must be a positive integer, got {dim!r}")
+    if not (isinstance(names, list) and all(isinstance(n, str) for n in names) and 2 <= len(set(names)) == len(names)):
+        raise ValueError("text-classifier class_names must list at least two distinct strings")
+    if not (isinstance(weights, dict) and isinstance(meta, dict)):
+        raise ValueError("text-classifier weights and training_meta must be objects")
+    try:
+        columns = {int(col): column for col, column in weights.items()}
+        bias = np.array(obj["bias"], dtype=np.float64)
+        matrix = np.array([columns[col] for col in sorted(columns)], dtype=np.float64)
+    except (TypeError, ValueError, OverflowError):
+        raise ValueError("text-classifier weight columns must be integers, and bias and weights numbers") from None
+    if len(columns) != len(weights):
+        raise ValueError("a text-classifier weight column is given twice")
+    if columns and not (min(columns) >= 0 and max(columns) < dim):
+        raise ValueError(f"a text-classifier weight column lies outside declared dimension {dim}")
+    if bias.shape != (len(names),) or matrix.shape not in ((0,), (len(columns), len(names))):
+        raise ValueError("text-classifier bias and each weight column must hold one number per class")
+    if not (np.all(np.isfinite(bias)) and np.all(np.isfinite(matrix))):
+        raise ValueError("text-classifier bias and weights must be finite")
+    return TextClassifier(class_names=tuple(names), dim=dim, columns=np.array(sorted(columns), dtype=np.int64),
+                          weights=matrix.reshape(len(columns), len(names)), bias=bias, training_meta=meta)
 
 
 def load_text_classifier(path) -> TextClassifier:
     with open(path, encoding="utf-8") as fh:
-        return classifier_from_dict(json.load(fh))
+        return classifier_from_dict(decode_json(fh.read()))
 
 
 # ---------------------------------------------------------------------------
@@ -282,17 +288,16 @@ def load_text_classifier(path) -> TextClassifier:
 _TOY_FILES = {"qtype": "qtype_toy.tsv", "complexity": "complexity_toy.tsv"}
 
 
+def read_corpus(path) -> list[tuple[str, str]]:
+    """(text, label) pairs of a ``label<TAB>text`` TSV corpus."""
+    return [(text, label) for _, (label, text) in read_rows(path, ("label", "text"))]
+
+
 def load_toy_corpus(name: str) -> list[tuple[str, str]]:
     """Load a bundled (text, label) corpus: ``qtype`` or ``complexity``."""
     try:
         filename = _TOY_FILES[name]
     except KeyError:
         raise ValueError(f"unknown toy corpus {name!r}; expected one of {sorted(_TOY_FILES)}") from None
-    payload = resources.files("ragate").joinpath("data", filename).read_text(encoding="utf-8")
-    corpus: list[tuple[str, str]] = []
-    for line in payload.splitlines():
-        if not line.strip() or line.startswith("#") or line == "label\ttext":
-            continue
-        label, text = line.split("\t", 1)
-        corpus.append((text, label))
-    return corpus
+    with resources.as_file(resources.files("ragate").joinpath("data", filename)) as path:
+        return read_corpus(path)

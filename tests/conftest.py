@@ -36,14 +36,10 @@ def make_stores(
         max_tokens = max((len(a.split()) for a in aliases), default=1)
         gaz = Gazetteer(aliases=dict(aliases), max_alias_tokens=max_tokens)
     return StoreSet(
-        triples=TripleCountStore(counts=dict(triples)) if triples is not None else None,
-        pageviews=PopularityStore(views=dict(pageviews)) if pageviews is not None else None,
-        frequency=FrequencyStore(frequencies=dict(frequency), total_tokens=total_tokens)
-        if frequency is not None
-        else None,
-        knowledgability=KnowledgabilityStore(scores=dict(knowledgability))
-        if knowledgability is not None
-        else None,
+        triples=TripleCountStore(dict(triples)) if triples is not None else None,
+        pageviews=PopularityStore(dict(pageviews)) if pageviews is not None else None,
+        frequency=FrequencyStore(dict(frequency), total_tokens=total_tokens) if frequency is not None else None,
+        knowledgability=KnowledgabilityStore(dict(knowledgability)) if knowledgability is not None else None,
         gazetteer=gaz,
         sidecar=dict(sidecar) if sidecar is not None else {},
     )

@@ -596,6 +596,52 @@ def test_ids_are_checked_before_extraction(tmp_path, capsys):
                             "--out", str(tmp_path / "out")], "question id '#t0000' cannot be stored in features.tsv")
 
 
+@pytest.mark.parametrize(
+    "key, header, row, message",
+    [
+        ("stores.triples", "kg_id\tsubject_count\tobject_count", "Q9\t4" + "0" * 400 + "\t1",
+         "line 2: subject_count must be at most 2**53, got '4" + "0" * 400 + "'"),
+        ("gazetteer", "alias\tkg_id", "zork\t ", "line 2: empty kg_id"),
+        ("stores.pageviews", "kg_id\tviews", "Q9\tmany", "line 2: views is not a base-10 integer: 'many'"),
+    ],
+    ids=["huge-count", "gazetteer", "pageviews"],
+)
+def test_bad_store_row_fails_naming_the_file(world, tmp_path, capsys, key, header, row, message):
+    path = tmp_path / "store.tsv"
+    path.write_text(f"{header}\n{row}\n", encoding="utf-8")
+    config = _variant_config(world, tmp_path, **{key: str(path)})
+    for command in (["ingest"], ["extract", "--dataset", world["dataset"], "--out", str(tmp_path / "out")]):
+        _fails_cleanly(capsys, [command[0], "--config", config, *command[1:]], f"error: {path}: {message}\n")
+
+
+@pytest.mark.parametrize(
+    "artifact, message",
+    [
+        ("[1]", "not a text-classifier artifact"),
+        ('{"kind": "text-classifier", "class_names": ["a", "b"], "bias": [0, 0], "weights": {}}',
+         "text-classifier artifact lacks ['dim']"),
+        ('{"kind": "text-classifier", "dim": 1e400, "class_names": ["a", "b"], "bias": [0, 0], "weights": {}}',
+         "text-classifier dim must be a positive integer, got inf"),
+    ],
+    ids=["not-an-object", "no-dim", "infinite-dim"],
+)
+def test_malformed_text_classifier_fails_cleanly(world, tmp_path, capsys, artifact, message):
+    model = tmp_path / "qtype.json"
+    model.write_text(artifact, encoding="utf-8")
+    config = _variant_config(world, tmp_path, **{"models.qtype": str(model)})
+    _fails_cleanly(capsys, ["extract", "--config", config, "--dataset", world["dataset"], "--out", str(tmp_path / "out")],
+                   f"error: {message}\n")
+
+
+@pytest.mark.parametrize("name", ["ue a\tb", "line\nbreak", "#hash", "\ud800"])
+def test_override_name_the_feature_table_cannot_carry_fails_at_config_load(world, tmp_path, capsys, name):
+    config = _variant_config(world, tmp_path, **{"features.override_features": [name]})
+    for command in (["ingest"], ["extract", "--dataset", world["dataset"], "--out", str(tmp_path / "out")]):
+        _fails_cleanly(capsys, [command[0], "--config", config, *command[1:]],
+                       f"error: feature name {name!r} cannot be stored in features.tsv")
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("command", ["evaluate", "serve"])
 @pytest.mark.parametrize("value", ["7", "-0.1", "nan"])
 def test_threshold_flag_out_of_range(world, tmp_path, monkeypatch, capsys, command, value):

@@ -89,19 +89,19 @@ class TestBuildGazetteer:
     def test_duplicate_alias_resolved_by_popularity(self, tmp_path):
         path = tmp_path / "g.tsv"
         path.write_text("alias\tkg_id\nmercury\tQ308\nmercury\tQ925\n")
-        pop = PopularityStore(views={"Q308": 10, "Q925": 99})
+        pop = PopularityStore({"Q308": 10, "Q925": 99})
         assert build_gazetteer(path, popularity=pop).aliases["mercury"] == "Q925"
 
     def test_popularity_tie_keeps_first(self, tmp_path):
         path = tmp_path / "g.tsv"
         path.write_text("alias\tkg_id\nmercury\tQ308\nmercury\tQ925\n")
-        pop = PopularityStore(views={"Q308": 7, "Q925": 7})
+        pop = PopularityStore({"Q308": 7, "Q925": 7})
         assert build_gazetteer(path, popularity=pop).aliases["mercury"] == "Q308"
 
     def test_absent_popularity_counts_as_zero(self, tmp_path):
         path = tmp_path / "g.tsv"
         path.write_text("alias\tkg_id\nmercury\tQ308\nmercury\tQ925\n")
-        pop = PopularityStore(views={"Q925": 1})
+        pop = PopularityStore({"Q925": 1})
         assert build_gazetteer(path, popularity=pop).aliases["mercury"] == "Q925"
 
     def test_alias_normalized(self, tmp_path):

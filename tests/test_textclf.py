@@ -1,3 +1,4 @@
+import functools
 import json
 
 import numpy as np
@@ -22,6 +23,12 @@ from ragate.textclf import (
 
 SMALL = TextClfConfig(seed=0, epochs=25, dim=1 << 10)
 
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.integers(10**308, 10**320) | st.floats() | st.text(max_size=6),
+    lambda children: st.lists(children, max_size=4) | st.dictionaries(st.text(max_size=6), children, max_size=4),
+    max_leaves=12,
+)
+
 SEPARABLE = [
     ("how many cats", "count"),
     ("how many dogs", "count"),
@@ -30,6 +37,16 @@ SEPARABLE = [
     ("who painted that wall", "generic"),
     ("who composed the tune", "generic"),
 ]
+
+
+@functools.cache
+def _separable_dict() -> str:
+    return json.dumps(classifier_to_dict(train_text_classifier(SEPARABLE, SMALL)))
+
+
+def _separable_artifact() -> dict:
+    """A fresh copy of the artifact of a classifier fit on SEPARABLE."""
+    return json.loads(_separable_dict())
 
 
 class TestFeaturize:
@@ -182,6 +199,56 @@ class TestArtifactIO:
         obj["weights"]["99999999"] = [0.0, 0.0]
         with pytest.raises(ValueError):
             classifier_from_dict(obj)
+
+    @pytest.mark.parametrize(
+        "change",
+        [
+            {"dim": 1.5},
+            {"dim": "16"},
+            {"dim": True},
+            {"dim": float("inf")},
+            {"dim": 0},
+            {"class_names": "ab"},
+            {"class_names": ["count", 1]},
+            {"class_names": ["count", "count"]},
+            {"bias": [0.0, float("nan")]},
+            {"bias": {"a": 1}},
+            {"bias": [10**400, 0]},
+            {"weights": []},
+            {"weights": {"abc": [0.0, 0.0]}},
+            {"weights": {"1.5": [0.0, 0.0]}},
+            {"weights": {"inf": [0.0, 0.0]}},
+            {"weights": {"3": [float("inf"), 0.0]}},
+            {"weights": {"3": 7}},
+            {"weights": {"3": [[0.0], 0.0]}},
+            {"training_meta": 5},
+        ],
+    )
+    def test_rejects_malformed_fields(self, change):
+        obj = {**_separable_artifact(), **change}
+        with pytest.raises(ValueError):
+            classifier_from_dict(obj)
+
+    @pytest.mark.parametrize("key", ["dim", "class_names", "bias", "weights"])
+    def test_rejects_missing_key(self, key):
+        obj = _separable_artifact()
+        del obj[key]
+        with pytest.raises(ValueError, match=f"lacks \\['{key}'\\]"):
+            classifier_from_dict(obj)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        fields=st.dictionaries(st.sampled_from(["dim", "class_names", "bias", "weights", "training_meta"]), JSON_VALUES),
+        weights=st.dictionaries(st.text(max_size=4) | st.integers(-2, 1 << 11).map(str), JSON_VALUES, max_size=3),
+    )
+    def test_random_artifacts_raise_only_value_error(self, fields, weights):
+        base = _separable_artifact()
+        for obj in ({"kind": "text-classifier", **fields}, {**base, **fields}, {**base, "weights": weights}):
+            try:
+                model = classifier_from_dict(obj)
+            except ValueError:
+                continue
+            assert np.all(np.isfinite(model.predict_proba("how many cats")))
 
     def test_artifact_is_plain_json(self, tmp_path):
         path = tmp_path / "clf.json"
