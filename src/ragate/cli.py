@@ -76,6 +76,10 @@ def cmd_extract(args) -> int:
 def cmd_train(args) -> int:
     config = load_config(args.config)
     records, data, groups = load_labelled_table(args.dataset, args.features)
+    try:
+        FeatureSchema(tuple(zip(data.feature_names, groups)))  # the layout serve will rebuild from the gate
+    except ValueError as exc:
+        raise ValueError(f"{args.features}: {exc}") from None
     grids = load_grids(config.grids_path)
     seed = args.seed if args.seed is not None else config.seed
     gate = end_to_end_train(data, records, grids, master_seed=seed, val_size=config.val_size, feature_groups=groups)

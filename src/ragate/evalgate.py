@@ -12,7 +12,7 @@ import csv
 import hashlib
 import io
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -62,14 +62,9 @@ class MethodCost:
     pflops_feature_pipeline: float = 0.0
 
     def __post_init__(self):
-        for name in (
-            "llm_generate_calls_per_question",
-            "ue_llm_calls_per_question",
-            "pflops_per_llm_call",
-            "pflops_feature_pipeline",
-        ):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be >= 0")
+        for entry in fields(self):
+            if getattr(self, entry.name) < 0:
+                raise ValueError(f"{entry.name} must be >= 0")
 
     @property
     def lm_calls(self) -> float:

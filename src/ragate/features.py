@@ -207,12 +207,6 @@ class FeatureSchema:
             knowledgability_aggregates=aggs,
         )
 
-    def group_of(self, name: str) -> str:
-        return self.entries[self.index[name]][1]
-
-    def groups_present(self) -> tuple[str, ...]:
-        return tuple(self.group_index)
-
     def __len__(self) -> int:
         return len(self.entries)
 

@@ -9,6 +9,7 @@ distinguish unknown entities from genuinely zero-count ones.
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass
 
 from .core import RagateError
@@ -33,6 +34,8 @@ TOTAL_TOKENS_KEY = "__total__"
 # Every integer up to 2**53 converts to a float64 exactly; a larger count
 # would make the log1p features overflow or round.
 MAX_COUNT = 2**53
+# A score's form; float() alone also takes 1e3, +7, 1_0.5 and other scripts' digits.
+_DECIMAL = re.compile(r"-?[0-9]+(?:\.[0-9]+)?")
 
 
 class StoreError(RagateError):
@@ -141,6 +144,8 @@ def _count(what: str, text: str) -> int:
         raise _BadValue(f"{what} is not a base-10 integer: {text!r}") from None
     if value < 0:
         raise _BadValue(f"{what} must be non-negative, got {value}")
+    if not (text.isascii() and text.isdigit()):  # int() also takes "+7", " 8 ", "1_0" and other scripts' digits
+        raise _BadValue(f"{what} is not a base-10 integer: {text!r}")
     if value > MAX_COUNT:
         raise _BadValue(f"{what} must be at most 2**53, got {text!r}")
     return value
@@ -153,6 +158,8 @@ def _score(_, text: str) -> float:
         raise _BadValue(f"score is not a number: {text!r}") from None
     if not math.isfinite(score):
         raise _BadValue(f"score is not finite: {text!r}")
+    if not _DECIMAL.fullmatch(text):
+        raise _BadValue(f"score is not a plain decimal: {text!r}")
     return score
 
 

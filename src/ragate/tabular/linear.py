@@ -8,7 +8,6 @@ the learned decision function.
 from __future__ import annotations
 
 import numpy as np
-from scipy import optimize
 
 from .base import Family, InvalidHyperparameter, _sigmoid, check_choice, check_class_weight, check_two_classes
 from .base import resolve_sample_weights
@@ -56,6 +55,8 @@ class LogisticRegressionModel(Family):
         return key, False
 
     def fit(self, X: np.ndarray, y: np.ndarray) -> "LogisticRegressionModel":
+        from scipy import optimize  # only a fit needs scipy; scoring and loading do not
+
         X = np.asarray(X, dtype=np.float64)
         y = np.asarray(y, dtype=np.int64)
         check_two_classes(y, self.family)

@@ -30,7 +30,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy.special import xlogy
 
 from .base import Family, InvalidHyperparameter, check_choice, check_max_depth
 
@@ -141,43 +140,48 @@ def check_max_features(max_features):
     return max_features
 
 
-def _impurity_sum(w_pos: np.ndarray, w_tot: np.ndarray, criterion: str) -> np.ndarray:
-    """Weighted child impurity; shapes broadcast, w_tot > 0 required."""
-    p = w_pos / w_tot
-    if criterion == "gini":
-        return w_tot * 2.0 * p * (1.0 - p)
-    return -(xlogy(w_pos, p) + xlogy(w_tot - w_pos, 1.0 - p))
+def _impurity(criterion: str):
+    """``f(w_pos, w_tot)``, the weighted child impurity of a classification
+    criterion (shapes broadcast, w_tot > 0 required), or None for mse. Only
+    entropy needs scipy; a tree imports it here, once."""
+    if criterion == "mse":
+        return None
+    if criterion == "entropy":
+        from scipy.special import xlogy
+
+    def impurity(w_pos: np.ndarray, w_tot: np.ndarray) -> np.ndarray:
+        p = w_pos / w_tot
+        if criterion == "gini":
+            return w_tot * 2.0 * p * (1.0 - p)
+        return -(xlogy(w_pos, p) + xlogy(w_tot - w_pos, 1.0 - p))
+
+    return impurity
 
 
-def _children_score(y, w, mask, criterion) -> float:
-    if criterion in _CRITERIA_CLS:
-        parts = []
-        for side in (mask, ~mask):
-            wt = float(np.sum(w[side]))
-            wp = float(np.sum(w[side] * y[side]))
-            parts.append(float(_impurity_sum(np.float64(wp), np.float64(wt), criterion)))
-        return parts[0] + parts[1]
+def _children_score(y, w, mask, impurity) -> float:
     score = 0.0
     for side in (mask, ~mask):
         wt = float(np.sum(w[side]))
         wy = float(np.sum(w[side] * y[side]))
-        wy2 = float(np.sum(w[side] * y[side] ** 2))
-        score += wy2 - wy * wy / wt
+        if impurity is not None:
+            score += float(impurity(np.float64(wy), np.float64(wt)))
+        else:
+            score += float(np.sum(w[side] * y[side] ** 2)) - wy * wy / wt
     return score
 
 
-def _best_split(v: np.ndarray, y: np.ndarray, w: np.ndarray, criterion: str):
+def _best_split(v: np.ndarray, y: np.ndarray, w: np.ndarray, impurity):
     order = np.argsort(v, kind="stable")
     vs, ys, ws = v[order], y[order], w[order]
     cut = np.nonzero(vs[1:] > vs[:-1])[0]
     if cut.size == 0:
         return None
     cw = np.cumsum(ws)
-    if criterion in _CRITERIA_CLS:
+    if impurity is not None:
         cwp = np.cumsum(ws * ys)
         lw, lp = cw[cut], cwp[cut]
         rw, rp = cw[-1] - lw, cwp[-1] - lp
-        score = _impurity_sum(lp, lw, criterion) + _impurity_sum(rp, rw, criterion)
+        score = impurity(lp, lw) + impurity(rp, rw)
     else:
         cwy = np.cumsum(ws * ys)
         cwy2 = np.cumsum(ws * ys * ys)
@@ -193,7 +197,7 @@ def _best_split(v: np.ndarray, y: np.ndarray, w: np.ndarray, criterion: str):
     return threshold, float(score[j])
 
 
-def _random_split(v: np.ndarray, y: np.ndarray, w: np.ndarray, criterion: str, rng):
+def _random_split(v: np.ndarray, y: np.ndarray, w: np.ndarray, impurity, rng):
     lo, hi = float(np.min(v)), float(np.max(v))
     if lo == hi:
         return None
@@ -201,7 +205,7 @@ def _random_split(v: np.ndarray, y: np.ndarray, w: np.ndarray, criterion: str, r
     mask = v <= threshold
     if mask.all() or not mask.any():
         return None
-    return threshold, _children_score(y, w, mask, criterion)
+    return threshold, _children_score(y, w, mask, impurity)
 
 
 def grow_tree(
@@ -226,6 +230,7 @@ def grow_tree(
     if criterion not in _CRITERIA_CLS + ("mse",):
         raise InvalidHyperparameter(f"unknown criterion {criterion!r}")
     check_choice("splitter", splitter, _SPLITTERS)
+    impurity = _impurity(criterion)
     X = np.asarray(X, dtype=np.float64)
     targets = np.asarray(targets, dtype=np.float64)
     if sample_weight is None:
@@ -265,9 +270,9 @@ def grow_tree(
         for f in feats:
             v = X[idx, f]
             if splitter == "best":
-                found = _best_split(v, t, w, criterion)
+                found = _best_split(v, t, w, impurity)
             else:
-                found = _random_split(v, t, w, criterion, rng)
+                found = _random_split(v, t, w, impurity, rng)
             if found is not None and (best is None or found[1] < best[2]):
                 best = (int(f), found[0], found[1])
         if best is None:

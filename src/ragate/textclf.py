@@ -6,14 +6,16 @@ comes from a token-overlap F1. No pretrained models, no subword
 tokenization, and fully deterministic given a seed.
 
 A text hashes to a handful of the ``dim`` (65,536 by default) columns, and
-a corpus to a few hundred. A classifier therefore keeps only the sorted
-columns that carry weight and a (columns x classes) weight block; training
-runs on the corpus's columns alone, and scoring looks up the question's
-columns in that block and sums their terms in ascending column order, the
-order of a sparse-by-dense product over all ``dim`` columns, so the
-probabilities equal those of the ``dim``-wide model bit for bit. The JSON
-artifact lists the same columns, one ``"column": [weight per class]`` entry
-each.
+a corpus to a few hundred, so a classifier keeps only the sorted columns
+that carry weight and a (columns x classes) weight block. One numpy
+product, ``_product``, serves training's forward pass, its gradient (rows
+and columns swapped) and ``predict_proba``: it adds each row's count x
+weight terms onto 0 in ascending column order. Float addition is not
+associative, so the order is fixed: it is the order of scipy's
+sparse-by-dense product over all ``dim`` columns, which makes weights,
+artifacts and probabilities those of the ``dim``-wide model bit for bit.
+The JSON artifact lists the same columns, one ``"column": [weight per
+class]`` entry each.
 """
 
 from __future__ import annotations
@@ -25,7 +27,6 @@ from dataclasses import dataclass, field
 from importlib import resources
 
 import numpy as np
-from scipy import sparse
 
 from .core import RagateError, decode_json, tokenize
 from .stores import read_rows
@@ -75,21 +76,13 @@ def hashed_counts(text: str, dim: int) -> Counter:
     return counts
 
 
-def featurize_many(texts: list[str], dim: int) -> sparse.csr_matrix:
-    """Hashed unigram+bigram count rows, shape (len(texts), dim), columns ascending."""
-    indptr = [0]
-    indices: list[int] = []
-    data: list[float] = []
-    for text in texts:
-        counts = hashed_counts(text, dim)
-        for col in sorted(counts):
-            indices.append(col)
-            data.append(counts[col])
-        indptr.append(len(indices))
-    return sparse.csr_matrix(
-        (np.array(data, dtype=np.float64), np.array(indices, dtype=np.int64), np.array(indptr, dtype=np.int64)),
-        shape=(len(texts), dim),
-    )
+def _product(out_rows: np.ndarray, in_rows: np.ndarray, counts: np.ndarray, matrix: np.ndarray, n_out: int):
+    """(n_out, k) sums: term ``t`` adds ``counts[t] * matrix[in_rows[t]]`` to
+    row ``out_rows[t]``, onto 0 and in term order (weighted bincount adds in
+    index order)."""
+    k = matrix.shape[1]
+    flat = (out_rows[:, None] * k + np.arange(k)).ravel()
+    return np.bincount(flat, weights=(counts[:, None] * matrix[in_rows]).ravel(), minlength=n_out * k).reshape(n_out, k)
 
 
 def _softmax(logits: np.ndarray) -> np.ndarray:
@@ -98,24 +91,23 @@ def _softmax(logits: np.ndarray) -> np.ndarray:
     return exp / exp.sum(axis=1, keepdims=True)
 
 
-def softmax_loss_and_grad(weights: np.ndarray, bias: np.ndarray, X, labels: np.ndarray):
+def softmax_loss_and_grad(weights: np.ndarray, bias: np.ndarray, terms, labels: np.ndarray):
     """Mean cross-entropy of the softmax model and its exact gradients.
 
-    weights: (n_classes, dim); bias: (n_classes,); X: (n, dim) sparse or
-    dense; labels: (n,) integer class indices. Returns
+    weights: (columns, classes); bias: (classes,); terms: ``(rows, cols,
+    counts)``, the nonzero entries of an (n, columns) count matrix sorted by
+    row, then column; labels: (n,) integer class indices. Returns
     (loss, grad_weights, grad_bias).
     """
-    n = X.shape[0]
-    logits = np.asarray(X @ weights.T) + bias
+    rows, cols, counts = terms
+    n = len(labels)
+    logits = _product(rows, cols, counts, weights, n) + bias
     probs = _softmax(logits)
-    eps = 1e-12
-    loss = -np.mean(np.log(probs[np.arange(n), labels] + eps))
+    loss = -np.mean(np.log(probs[np.arange(n), labels] + 1e-12))
     delta = probs.copy()
     delta[np.arange(n), labels] -= 1.0
     delta /= n
-    grad_w = np.asarray((X.T @ delta).T)
-    grad_b = delta.sum(axis=0)
-    return loss, grad_w, grad_b
+    return loss, _product(cols, rows, counts, delta, len(weights)), delta.sum(axis=0)
 
 
 @dataclass
@@ -146,12 +138,9 @@ class TextClassifier:
         """Class probabilities in ``class_names`` order; sums to 1."""
         counts = hashed_counts(text, self.dim)
         hits = sorted(col for col in counts if col in self._row)
-        # Row 0 stays zero; accumulating from it in ascending column order
-        # adds the terms exactly as the sparse-by-dense product would.
-        terms = np.zeros((len(hits) + 1, len(self.class_names)))
-        scale = np.array([counts[col] for col in hits])
-        terms[1:] = scale[:, None] * self.weights[[self._row[col] for col in hits]]
-        logits = np.add.accumulate(terms)[-1:] + self.bias
+        rows = np.array([self._row[col] for col in hits], dtype=np.intp)
+        scale = np.array([counts[col] for col in hits], dtype=np.float64)
+        logits = _product(np.zeros_like(rows), rows, scale, self.weights, 1) + self.bias
         return _softmax(logits)[0]
 
     def predict(self, text: str) -> str:
@@ -174,14 +163,16 @@ def train_text_classifier(corpus: list[tuple[str, str]], config: TextClfConfig =
     if len(class_names) < 2:
         raise DegenerateCorpus(f"need at least 2 distinct labels, got {class_names}")
     class_index = {name: i for i, name in enumerate(class_names)}
-    X = featurize_many([text for text, _ in corpus], config.dim)
-    columns, compact = np.unique(X.indices, return_inverse=True)
-    n = X.shape[0]
-    X = sparse.csr_matrix((X.data, compact, X.indptr), shape=(n, len(columns)))
+    per_text = [sorted(hashed_counts(text, config.dim).items()) for text, _ in corpus]
+    columns, cols = np.unique(np.array([col for row in per_text for col, _ in row], dtype=np.int64), return_inverse=True)
+    counts = np.array([count for row in per_text for _, count in row], dtype=np.float64)
+    lengths = np.array([len(row) for row in per_text])
+    at = np.split(np.arange(len(cols)), np.cumsum(lengths)[:-1])  # each row's term positions
+    n = len(corpus)
     y = np.array([class_index[label] for _, label in corpus], dtype=np.int64)
 
     rng = np.random.default_rng(config.seed)
-    weights = np.zeros((len(class_names), len(columns)))
+    weights = np.zeros((len(columns), len(class_names)))
     bias = np.zeros(len(class_names))
     batch = max(1, min(config.batch_size, n))
     loss_history: list[float] = []
@@ -189,10 +180,12 @@ def train_text_classifier(corpus: list[tuple[str, str]], config: TextClfConfig =
         order = rng.permutation(n) if batch < n else np.arange(n)
         for lo in range(0, n, batch):
             idx = order[lo : lo + batch]
-            _, grad_w, grad_b = softmax_loss_and_grad(weights, bias, X[idx], y[idx])
+            take = np.concatenate([at[i] for i in idx])
+            terms = (np.repeat(np.arange(len(idx)), lengths[idx]), cols[take], counts[take])
+            _, grad_w, grad_b = softmax_loss_and_grad(weights, bias, terms, y[idx])
             weights -= config.learning_rate * grad_w
             bias -= config.learning_rate * grad_b
-        epoch_loss, _, _ = softmax_loss_and_grad(weights, bias, X, y)
+        epoch_loss, _, _ = softmax_loss_and_grad(weights, bias, (np.repeat(np.arange(n), lengths), cols, counts), y)
         loss_history.append(float(epoch_loss))
 
     meta = {
@@ -203,7 +196,7 @@ def train_text_classifier(corpus: list[tuple[str, str]], config: TextClfConfig =
         "loss_history": loss_history,
     }
     return TextClassifier(
-        class_names=class_names, dim=config.dim, columns=columns, weights=weights.T, bias=bias, training_meta=meta
+        class_names=class_names, dim=config.dim, columns=columns, weights=weights, bias=bias, training_meta=meta
     )
 
 

@@ -340,6 +340,20 @@ class TestTrain:
         assert "q050" in capsys.readouterr().err
 
 
+    def test_table_serve_cannot_use_fails_before_any_fit(self, world, tmp_path, capsys):
+        # Without its groups line the table's columns read as group
+        # "feature", which no gate layout holds; serve would refuse the model.
+        with open(world["features"], encoding="utf-8") as fh:
+            lines = [line for line in fh if not line.startswith("# groups:")]
+        table = tmp_path / "features.tsv"
+        table.write_text("".join(lines), encoding="utf-8")
+        out = tmp_path / "out"
+        _fails_cleanly(capsys, ["train", "--config", world["config"], "--dataset", world["dataset"],
+                                "--features", str(table), "--out", str(out)],
+                       f"error: {table}: unknown feature group 'feature'\n")
+        assert not out.exists()
+
+
 class TestEvaluate:
     def _run(self, world, out, extra=()):
         return main(
@@ -596,6 +610,45 @@ def test_ids_are_checked_before_extraction(tmp_path, capsys):
                             "--out", str(tmp_path / "out")], "question id '#t0000' cannot be stored in features.tsv")
 
 
+# Runs one command through ragate.cli.main, then reports the scipy modules
+# it loaded as the last line of stderr.
+_CLI_CHILD = """
+import json, sys
+from ragate.cli import main
+code = main(sys.argv[1:])
+sys.stdout.flush()
+print(json.dumps(sorted(m for m in sys.modules if m.split(".")[0] == "scipy")), file=sys.stderr)
+sys.exit(code)
+"""
+
+
+def test_only_train_loads_scipy(tmp_path):
+    world = tmp_path / "seed7"
+    env = {**os.environ, "PYTHONPATH": os.path.join(ROOT, "src")}
+    subprocess.run([sys.executable, MAKE_SYNTHETIC, "--out", str(world), "--seed", "7", "--n-train", "120", "--n-eval", "8"],
+                   env=env, check=True, capture_output=True)
+    config = str(world / "config.yaml")
+
+    def run(*argv, stdin=""):
+        proc = subprocess.run([sys.executable, "-c", _CLI_CHILD, *argv, "--config", config], input=stdin, env=env,
+                              capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        return proc.stdout, json.loads(proc.stderr.splitlines()[-1])
+
+    train, evalfeat = str(world / "train.jsonl"), str(world / "evalfeat")
+    assert run("ingest")[1] == []
+    assert run("extract", "--dataset", train, "--out", str(world))[1] == []
+    assert run("extract", "--dataset", str(world / "eval.jsonl"), "--out", evalfeat)[1] == []
+    _, loaded = run("train", "--dataset", train, "--features", str(world / "features.tsv"), "--out", str(world))
+    assert "scipy.optimize" in loaded  # the logreg fits
+    model = str(world / "model.json")
+    assert run("evaluate", "--dataset", str(world / "eval.jsonl"), "--features", os.path.join(evalfeat, "features.tsv"),
+               "--model", model, "--out", str(tmp_path / "report"))[1] == []
+    stdout, loaded = run("serve", "--model", model, stdin='{"id": "r1", "question": "who founded amber falcon"}\n')
+    assert loaded == []
+    assert json.loads(stdout)["id"] == "r1"
+
+
 @pytest.mark.parametrize(
     "key, header, row, message",
     [
@@ -603,8 +656,13 @@ def test_ids_are_checked_before_extraction(tmp_path, capsys):
          "line 2: subject_count must be at most 2**53, got '4" + "0" * 400 + "'"),
         ("gazetteer", "alias\tkg_id", "zork\t ", "line 2: empty kg_id"),
         ("stores.pageviews", "kg_id\tviews", "Q9\tmany", "line 2: views is not a base-10 integer: 'many'"),
+        ("stores.pageviews", "kg_id\tviews", "Q9\t1_000", "line 2: views is not a base-10 integer: '1_000'"),
+        ("stores.pageviews", "kg_id\tviews", "Q9\t \u0663 ", "line 2: views is not a base-10 integer: ' \u0663 '"),
+        ("stores.pageviews", "kg_id\tviews", "Q9\t+7", "line 2: views is not a base-10 integer: '+7'"),
+        ("stores.knowledgability", "kg_id\tscore", "Q9\t1_0.5", "line 2: score is not a plain decimal: '1_0.5'"),
     ],
-    ids=["huge-count", "gazetteer", "pageviews"],
+    ids=["huge-count", "gazetteer", "pageviews", "underscore-count", "arabic-indic-count", "signed-count",
+         "underscore-score"],
 )
 def test_bad_store_row_fails_naming_the_file(world, tmp_path, capsys, key, header, row, message):
     path = tmp_path / "store.tsv"

@@ -53,7 +53,7 @@ class TestSchema:
     def test_default_has_28_features(self):
         schema = default_schema()
         assert len(schema) == 28
-        assert schema.groups_present() == FEATURE_GROUPS
+        assert tuple(schema.group_index) == FEATURE_GROUPS
 
     def test_default_names_fixed_order(self):
         names = default_schema().names
@@ -71,7 +71,7 @@ class TestSchema:
     def test_group_restriction(self):
         schema = default_schema(groups=("popularity", "frequency"))
         assert len(schema) == 7
-        assert schema.groups_present() == ("popularity", "frequency")
+        assert tuple(schema.group_index) == ("popularity", "frequency")
 
     def test_without_context_length(self):
         schema = default_schema(include_context_length=False)
@@ -91,7 +91,7 @@ class TestSchema:
     def test_override_features_appended(self):
         schema = default_schema(override_features=("ue_entropy",))
         assert schema.names[-1] == "ue_entropy"
-        assert schema.group_of("ue_entropy") == "override"
+        assert schema.entries[-1] == ("ue_entropy", "override")
 
     def test_duplicate_names_rejected(self):
         with pytest.raises(ValueError):

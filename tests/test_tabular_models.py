@@ -31,7 +31,7 @@ from ragate.tabular.base import balanced_class_weights, check_two_classes, resol
 from ragate.tabular.linear import loss_and_grad
 from ragate.tabular.mlp import layer_shapes, pack_params, unpack_params
 from ragate.tabular.neighbors import _BLOCK, _block_distances
-from ragate.tabular.trees import Tree, _best_split, _random_split, laplace_leaf, resolve_max_features
+from ragate.tabular.trees import Tree, _best_split, _impurity, _random_split, laplace_leaf, resolve_max_features
 
 
 def separable(n=80, d=4, seed=0, margin=1.0):
@@ -627,6 +627,7 @@ def reference_grow_tree(X, targets, sample_weight=None, *, criterion="gini", spl
         leaf_value = lambda idx: float(np.sum(sample_weight[idx] * targets[idx]) / np.sum(sample_weight[idx]))  # noqa: E731
     max_feats = resolve_max_features(max_features, X.shape[1])
     rng = rng if rng is not None else np.random.default_rng(0)
+    impurity = _impurity(criterion)
 
     def grow(idx, depth):
         node = RefNode(float(leaf_value(idx)), int(idx.size))
@@ -639,7 +640,7 @@ def reference_grow_tree(X, targets, sample_weight=None, *, criterion="gini", spl
         best = None
         for f in feats:
             v = X[idx, f]
-            found = _best_split(v, t, w, criterion) if splitter == "best" else _random_split(v, t, w, criterion, rng)
+            found = _best_split(v, t, w, impurity) if splitter == "best" else _random_split(v, t, w, impurity, rng)
             if found is not None and (best is None or found[1] < best[2]):
                 best = (int(f), found[0], found[1])
         if best is None:

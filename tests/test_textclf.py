@@ -5,13 +5,14 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from scipy import sparse
 
 from ragate.textclf import (
     DegenerateCorpus,
     TextClfConfig,
+    _product,
     classifier_from_dict,
     classifier_to_dict,
-    featurize_many,
     hashed_counts,
     load_text_classifier,
     load_toy_corpus,
@@ -49,6 +50,29 @@ def _separable_artifact() -> dict:
     return json.loads(_separable_dict())
 
 
+def featurize_many(texts: list[str], dim: int) -> sparse.csr_matrix:
+    """Hashed unigram+bigram count rows, shape (len(texts), dim), columns ascending."""
+    indptr = [0]
+    indices: list[int] = []
+    data: list[float] = []
+    for text in texts:
+        counts = hashed_counts(text, dim)
+        for col in sorted(counts):
+            indices.append(col)
+            data.append(counts[col])
+        indptr.append(len(indices))
+    return sparse.csr_matrix(
+        (np.array(data, dtype=np.float64), np.array(indices, dtype=np.int64), np.array(indptr, dtype=np.int64)),
+        shape=(len(texts), dim),
+    )
+
+
+def _terms(X) -> tuple:
+    """The (rows, cols, values) of the nonzero entries of ``X``, sorted by row, then column."""
+    X = sparse.csr_matrix(X)
+    return np.repeat(np.arange(X.shape[0]), np.diff(X.indptr)), X.indices, X.data
+
+
 class TestFeaturize:
     def test_counts_unigrams_and_bigrams(self):
         x = featurize_many(["the cat sat"], 1 << 12)
@@ -76,17 +100,51 @@ class TestFeaturize:
         assert (X[0] != featurize_many(["a b"], 1 << 10)).nnz == 0
 
 
+_COUNTS = st.floats(-1e3, 1e3, allow_nan=False) | st.sampled_from([1.0, 2.0, -0.0, 1e-9])
+# (column count, one {column: count} dict per row)
+_COUNT_ROWS = st.integers(1, 8).flatmap(
+    lambda n_cols: st.tuples(
+        st.just(n_cols), st.lists(st.dictionaries(st.integers(0, n_cols - 1), _COUNTS), min_size=1, max_size=8)
+    )
+)
+
+
+class TestProduct:
+    """``_product`` and its transposed use give scipy's CSR products bit for bit."""
+
+    @given(matrix=_COUNT_ROWS, k=st.integers(1, 4), seed=st.integers(0, 2**32 - 1))
+    @example(matrix=(3, [{0: 0.1, 1: 0.2, 2: 0.3}, {}, {0: 1e-9, 2: -7.0}, {0: 3.0, 1: 1.0}]), k=2, seed=0)
+    @settings(max_examples=300, deadline=None)
+    def test_matches_csr_products(self, matrix, k, seed):
+        n_cols, rows = matrix
+        cols = [sorted(row) for row in rows]
+        X = sparse.csr_matrix(
+            (np.array([row[c] for row, key in zip(rows, cols) for c in key], dtype=np.float64),
+             np.array([c for key in cols for c in key], dtype=np.int64),
+             np.cumsum([0] + [len(key) for key in cols])),
+            shape=(len(rows), n_cols),
+        )
+        # signed weights over many magnitudes, so the order of the sums shows
+        rng = np.random.default_rng(seed)
+        W = rng.normal(size=(n_cols, k)) * 10.0 ** rng.integers(-8, 9, size=(n_cols, k))
+        D = rng.normal(size=(len(rows), k)) * 10.0 ** rng.integers(-8, 9, size=(len(rows), k))
+        r, c, v = _terms(X)
+        assert np.array_equal(_product(r, c, v, W, len(rows)), X @ W)
+        assert np.array_equal(_product(c, r, v, D, n_cols), X.T @ D)
+
+
 class TestSoftmaxGradient:
     def test_matches_finite_differences(self):
         rng = np.random.default_rng(3)
         n, d, c = 12, 7, 3
         X = rng.normal(size=(n, d))
         labels = rng.integers(0, c, size=n)
-        weights = rng.normal(scale=0.3, size=(c, d))
+        weights = rng.normal(scale=0.3, size=(d, c))
         bias = rng.normal(scale=0.3, size=c)
+        X = _terms(X)
         loss, grad_w, grad_b = softmax_loss_and_grad(weights, bias, X, labels)
         eps = 1e-6
-        for idx in [(0, 0), (1, 3), (2, 6)]:
+        for idx in [(0, 0), (3, 1), (6, 2)]:
             bumped = weights.copy()
             bumped[idx] += eps
             up, _, _ = softmax_loss_and_grad(bumped, bias, X, labels)
@@ -104,8 +162,7 @@ class TestSoftmaxGradient:
             assert abs(numeric - grad_b[j]) <= 1e-4 * max(1.0, abs(numeric))
 
     def test_uniform_start_loss_is_log_c(self):
-        X = np.eye(4)
-        loss, _, _ = softmax_loss_and_grad(np.zeros((3, 4)), np.zeros(3), X, np.array([0, 1, 2, 0]))
+        loss, _, _ = softmax_loss_and_grad(np.zeros((4, 3)), np.zeros(3), _terms(np.eye(4)), np.array([0, 1, 2, 0]))
         assert loss == pytest.approx(np.log(3.0), rel=1e-9)
 
 
@@ -294,6 +351,20 @@ def _dense_softmax(x, weights, bias):
     return (exp / exp.sum(axis=1, keepdims=True))[0]
 
 
+def _scipy_loss_and_grad(weights, bias, X, labels):
+    """``softmax_loss_and_grad`` on a (classes x dim) weight array and a CSR
+    count matrix, its products taken by scipy."""
+    n = X.shape[0]
+    logits = np.asarray(X @ weights.T) + bias
+    exp = np.exp(logits - logits.max(axis=1, keepdims=True))
+    probs = exp / exp.sum(axis=1, keepdims=True)
+    loss = -np.mean(np.log(probs[np.arange(n), labels] + 1e-12))
+    delta = probs.copy()
+    delta[np.arange(n), labels] -= 1.0
+    delta /= n
+    return loss, np.asarray((X.T @ delta).T), delta.sum(axis=0)
+
+
 def _dense_reference_dict(corpus, config):
     """The artifact of plain gradient descent on all ``dim`` columns."""
     class_names = tuple(sorted({label for _, label in corpus}))
@@ -310,10 +381,10 @@ def _dense_reference_dict(corpus, config):
         order = rng.permutation(n) if batch < n else np.arange(n)
         for lo in range(0, n, batch):
             idx = order[lo : lo + batch]
-            _, grad_w, grad_b = softmax_loss_and_grad(weights, bias, X[idx], y[idx])
+            _, grad_w, grad_b = _scipy_loss_and_grad(weights, bias, X[idx], y[idx])
             weights -= config.learning_rate * grad_w
             bias -= config.learning_rate * grad_b
-        loss_history.append(float(softmax_loss_and_grad(weights, bias, X, y)[0]))
+        loss_history.append(float(_scipy_loss_and_grad(weights, bias, X, y)[0]))
     nonzero_cols = np.flatnonzero(np.any(weights != 0.0, axis=0))
     return {
         "kind": "text-classifier",
