@@ -89,7 +89,11 @@ rforest:
   class_weight: [balanced]
 """
 
-CONFIG_YAML = """\
+# Validation rows the config holds out; training needs 20 rows beyond them.
+VAL_SIZE = 100
+MIN_TRAIN = VAL_SIZE + 20
+
+CONFIG_YAML = f"""\
 # synthetic-world run config (paths are relative to this file)
 stores:
   triples: triples.tsv
@@ -103,7 +107,7 @@ models:
 grids: grids.yaml
 seed: 7
 threshold: 0.5
-val_size: 100
+val_size: {VAL_SIZE}
 importance_repeats: 5
 cost_model:
   default:
@@ -220,6 +224,9 @@ def main() -> None:
     parser.add_argument("--n-train", type=int, default=200)
     parser.add_argument("--n-eval", type=int, default=120)
     args = parser.parse_args()
+    if args.n_train < MIN_TRAIN:
+        parser.error(f"--n-train must be at least {MIN_TRAIN}: the world's config holds out "
+                     f"{VAL_SIZE} validation rows and training needs 20 more, got {args.n_train}")
 
     os.makedirs(args.out, exist_ok=True)
     rng = np.random.default_rng(args.seed)

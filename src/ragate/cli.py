@@ -8,7 +8,7 @@ import signal
 import sys
 from dataclasses import replace
 
-from .config import RunConfig, build_schema, check_threshold, load_config, load_models, load_stores
+from .config import RunConfig, build_schema, check_seed, check_threshold, load_config, load_models, load_stores
 from .core import QuestionRecord, RagateError, answer_outcomes, decode_json, load_dataset, parse_question
 from .evalgate import (
     error_line,
@@ -75,13 +75,13 @@ def cmd_extract(args) -> int:
 
 def cmd_train(args) -> int:
     config = load_config(args.config)
+    seed = check_seed(args.seed) if args.seed is not None else config.seed
     records, data, groups = load_labelled_table(args.dataset, args.features)
     try:
         FeatureSchema(tuple(zip(data.feature_names, groups)))  # the layout serve will rebuild from the gate
     except ValueError as exc:
         raise ValueError(f"{args.features}: {exc}") from None
     grids = load_grids(config.grids_path)
-    seed = args.seed if args.seed is not None else config.seed
     gate = end_to_end_train(data, records, grids, master_seed=seed, val_size=config.val_size, feature_groups=groups)
     for path in write_training_files(gate, _out_dir(args, config)):
         print(f"wrote {path}")
@@ -92,9 +92,9 @@ def cmd_train(args) -> int:
 def cmd_evaluate(args) -> int:
     config = load_config(args.config)
     threshold = check_threshold(args.threshold) if args.threshold is not None else config.threshold
+    seed = check_seed(args.seed) if args.seed is not None else config.seed
     gate = load_gate(args.model)
     records, data, _ = load_labelled_table(args.dataset, args.features, gate.feature_names)
-    seed = args.seed if args.seed is not None else config.seed
 
     decisions = [bool(p >= threshold) for p in gate.predict_proba(data.X)]
     gate_report = evaluate_method("gate", decisions, records, config.cost_model.cost_for("gate"))

@@ -14,7 +14,9 @@ from .linker import build_gazetteer, load_entity_sidecar
 from .stores import STORE_KINDS, load_store
 from .textclf import TextClfConfig, load_text_classifier, load_toy_corpus, train_text_classifier
 
-__all__ = ["ConfigError", "RunConfig", "check_threshold", "load_config", "build_schema", "load_stores", "load_models"]
+__all__ = [
+    "ConfigError", "RunConfig", "check_seed", "check_threshold", "load_config", "build_schema", "load_stores", "load_models",
+]
 
 BUILTIN_MODEL = "builtin"
 
@@ -79,6 +81,13 @@ def check_threshold(threshold: float) -> float:
     return threshold
 
 
+def check_seed(seed: int) -> int:
+    """The seed itself; ConfigError unless it is >= 0."""
+    if seed < 0:
+        raise ConfigError(f"seed must be >= 0, got {seed}")
+    return seed
+
+
 def _mapping(section: dict, key: str) -> dict:
     """``section[key]`` as a mapping; absent or null gives {}."""
     value = section.get(key)
@@ -102,12 +111,23 @@ def _path_string(value, what: str) -> str:
     return value
 
 
-def _number(section: dict, key: str, default, kind):
-    """``kind(section[key])`` (int or float); ConfigError if it does not convert."""
+def _float(section: dict, key: str, default: float) -> float:
+    """``float(section[key])``; ConfigError if it does not convert."""
     try:
-        return kind(section.get(key, default))
+        return float(section.get(key, default))
     except (TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"{key} is invalid: {exc}") from exc
+
+
+def _integer(section: dict, key: str, default: int) -> int:
+    """``section[key]`` as an int. A float counts only when it is integral; a
+    bool, a string or any other value raises ConfigError."""
+    value = section.get(key, default)
+    if isinstance(value, float) and value.is_integer():
+        value = int(value)
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise ConfigError(f"{key} is invalid: expected an integer, got {value!r}")
+    return value
 
 
 def load_config(path) -> RunConfig:
@@ -197,16 +217,16 @@ def load_config(path) -> RunConfig:
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"cost_model is invalid: {exc}") from exc
 
-    threshold = check_threshold(_number(raw, "threshold", 0.5, float))
-    val_size = _number(raw, "val_size", 100, int)
+    threshold = check_threshold(_float(raw, "threshold", 0.5))
+    val_size = _integer(raw, "val_size", 100)
     if val_size < 1:
         raise ConfigError(f"val_size must be >= 1, got {val_size}")
-    context_norm = _number(feats, "context_norm", DEFAULT_CONTEXT_NORM, float)
+    context_norm = _float(feats, "context_norm", DEFAULT_CONTEXT_NORM)
     if not context_norm > 0:
         raise ConfigError(f"context_norm must be > 0, got {context_norm}")
     if context_norm == float("inf"):
         raise ConfigError("context_norm must be finite, got inf")
-    importance_repeats = _number(raw, "importance_repeats", 20, int)
+    importance_repeats = _integer(raw, "importance_repeats", 20)
     if importance_repeats < 0:
         raise ConfigError(f"importance_repeats must be >= 0, got {importance_repeats}")
     out_dir = raw.get("out_dir")
@@ -224,7 +244,7 @@ def load_config(path) -> RunConfig:
         grids_path=resolve(raw["grids"], "grids") if raw.get("grids") else None,
         cost_model=cost_model,
         references=tuple(references),
-        seed=_number(raw, "seed", 0, int),
+        seed=check_seed(_integer(raw, "seed", 0)),
         threshold=threshold,
         val_size=val_size,
         importance_repeats=importance_repeats,

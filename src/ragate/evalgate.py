@@ -20,7 +20,7 @@ import numpy as np
 from .core import GateDecision, LabeledOutcome, QuestionRecord, RagateError, RunReport, answer_outcomes, in_accuracy
 from .core import load_dataset
 from .features import FeatureVector, SchemaMismatch, read_features_tsv
-from .tabular.base import TabularDataset
+from .tabular.base import TabularDataset, permuted_proba, shuffled
 from .tabular.protocol import GateModel
 
 __all__ = [
@@ -204,11 +204,24 @@ def in_accuracy_metric(correct_without, correct_with, threshold: float = DEFAULT
     return metric
 
 
+class _Scored:
+    """Stands in for a model whose scores on the matrix a metric is given are known."""
+
+    def __init__(self, proba: np.ndarray):
+        self.proba = proba
+
+    def predict_proba(self, X) -> np.ndarray:
+        return self.proba
+
+
 def permutation_importance(model, data: TabularDataset, metric, repeats: int = 20, seed: int = 0) -> np.ndarray:
     """Mean metric drop when one column is shuffled, per feature (seeded).
 
     ``metric(model, X) -> float`` is evaluated once on the intact matrix and
-    ``repeats`` times per feature with that column permuted.
+    ``repeats`` times per feature with that column permuted. Every
+    permutation is drawn first, column by column, and the model scores all
+    the shuffled copies in one ``permuted_proba`` call; each metric call
+    then sees its copy and a stand-in that returns the copy's scores.
     """
     names = getattr(model, "feature_names", None)
     if names is not None and tuple(names) != tuple(data.feature_names):
@@ -217,14 +230,16 @@ def permutation_importance(model, data: TabularDataset, metric, repeats: int = 2
         raise ValueError("repeats must be >= 0")
     rng = np.random.default_rng(seed)
     n, d = data.X.shape
+    perms = np.empty((d, repeats, n), dtype=np.intp)
+    for j, r in np.ndindex(d, repeats):
+        perms[j, r] = rng.permutation(n)
     baseline = float(metric(model, data.X))
+    proba = permuted_proba(model, data.X, perms)
     scores = np.zeros(d)
     for j in range(d):
         drop = 0.0
-        for _ in range(repeats):
-            shuffled = data.X.copy()
-            shuffled[:, j] = shuffled[rng.permutation(n), j]
-            drop += baseline - float(metric(model, shuffled))
+        for r in range(repeats):
+            drop += baseline - float(metric(_Scored(proba[j, r]), shuffled(data.X, j, perms[j, r])))
         scores[j] = drop / repeats if repeats else 0.0
     return scores
 

@@ -106,6 +106,27 @@ class Family:
         return model
 
 
+def shuffled(X: np.ndarray, j: int, perm: np.ndarray) -> np.ndarray:
+    """A copy of X whose column j is reordered by ``perm``."""
+    out = X.copy()
+    out[:, j] = X[perm, j]
+    return out
+
+
+def permuted_proba(model, X: np.ndarray, perms: np.ndarray) -> np.ndarray:
+    """``model``'s scores on every copy of X whose column j is reordered by
+    ``perms[j, r]``: a (columns x repeats x rows) array. A model with a
+    ``permuted_proba`` method computes it; any other is scored one shuffled
+    copy at a time."""
+    own = getattr(model, "permuted_proba", None)
+    if own is not None:
+        return own(X, perms)
+    probs = np.empty(perms.shape)
+    for j, r in np.ndindex(probs.shape[:2]):
+        probs[j, r] = model.predict_proba(shuffled(X, j, perms[j, r]))
+    return probs
+
+
 def check_choice(name: str, value, choices: tuple):
     """``value`` if it is one of ``choices``; InvalidHyperparameter naming ``name`` otherwise."""
     if value not in choices:

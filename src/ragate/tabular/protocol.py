@@ -136,6 +136,10 @@ class GateModel:
     def predict_proba(self, X_raw: np.ndarray) -> np.ndarray:
         return self.voting.predict_proba(transform(self.scaler, X_raw))
 
+    def permuted_proba(self, X_raw: np.ndarray, perms: np.ndarray) -> np.ndarray:
+        # Scaling is element-wise, so it commutes with a column shuffle bit for bit.
+        return self.voting.permuted_proba(transform(self.scaler, X_raw), perms)
+
 
 def end_to_end_train(
     data: TabularDataset,

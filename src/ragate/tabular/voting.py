@@ -6,6 +6,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .base import permuted_proba
+
 
 @dataclass
 class VotingModel:
@@ -22,3 +24,9 @@ class VotingModel:
         a = self.members[0].predict_proba(X)
         b = self.members[1].predict_proba(X)
         return (np.asarray(a) + np.asarray(b)) / 2.0
+
+    def permuted_proba(self, X: np.ndarray, perms: np.ndarray) -> np.ndarray:
+        probs = permuted_proba(self.members[0], X, perms)
+        probs += permuted_proba(self.members[1], X, perms)
+        probs /= 2.0
+        return probs

@@ -598,10 +598,10 @@ def test_ids_are_checked_before_extraction(tmp_path, capsys):
     # Two questions of the stock seed-7 world: the first id cannot be stored,
     # the second question could not be extracted. The id is reported.
     world = tmp_path / "seed7"
-    subprocess.run([sys.executable, MAKE_SYNTHETIC, "--out", str(world), "--seed", "7", "--n-train", "2", "--n-eval", "1"],
+    subprocess.run([sys.executable, MAKE_SYNTHETIC, "--out", str(world), "--seed", "7", "--n-train", "120", "--n-eval", "1"],
                    env={**os.environ, "PYTHONPATH": os.path.join(ROOT, "src")}, check=True, capture_output=True)
     with open(world / "train.jsonl", encoding="utf-8") as fh:
-        first, second = (json.loads(line) for line in fh)
+        first, second = (json.loads(next(fh)) for _ in range(2))
     first["id"] = "#" + first["id"]
     second["feature_overrides"] = {"no_such_feature": 1}
     dataset = tmp_path / "two.jsonl"
@@ -711,6 +711,35 @@ def test_threshold_flag_out_of_range(world, tmp_path, monkeypatch, capsys, comma
     captured = capsys.readouterr()
     assert captured.err == f"error: threshold must be in [0, 1], got {float(value)}\n"
     assert captured.out == ""
+
+
+@pytest.mark.parametrize("command", ["train", "evaluate"])
+def test_negative_seed_flag_fails_before_any_work(world, tmp_path, capsys, command):
+    args = ["--config", world["config"], "--dataset", world["dataset"], "--features", world["features"],
+            "--out", str(tmp_path / "out"), "--seed", "-3"]
+    if command == "evaluate":
+        args += ["--model", world["model"]]
+    _fails_cleanly(capsys, [command, *args], "error: seed must be >= 0, got -3\n")
+    assert not (tmp_path / "out").exists()
+
+
+def test_integral_config_values_load_as_integers(tmp_path):
+    config = tmp_path / "config.yaml"
+    config.write_text("seed: 12.0\nval_size: 30\nimportance_repeats: 0\n", encoding="utf-8")
+    loaded = load_config(str(config))
+    assert (loaded.seed, loaded.val_size, loaded.importance_repeats) == (12, 30, 0)
+    assert type(loaded.seed) is int
+
+
+@pytest.mark.parametrize("n_train", ["40", "119"])
+def test_make_synthetic_refuses_a_world_that_cannot_train(tmp_path, n_train):
+    out = tmp_path / "world"
+    proc = subprocess.run([sys.executable, MAKE_SYNTHETIC, "--out", str(out), "--seed", "7", "--n-train", n_train],
+                          env={**os.environ, "PYTHONPATH": os.path.join(ROOT, "src")}, capture_output=True, text=True)
+    assert proc.returncode == 2
+    assert "--n-train must be at least 120" in proc.stderr
+    assert proc.stderr.rstrip().endswith(f"got {n_train}")
+    assert not out.exists()
 
 
 MALFORMED_MODELS = {
@@ -888,6 +917,13 @@ JSON_VALUES = st.recursive(
         ("references: 3", "references must be a list, got int"),
         ("threshold: [1]", "threshold is invalid"),
         ("seed: .inf", "seed is invalid"),
+        ("seed: 7.9", "seed is invalid: expected an integer, got 7.9"),
+        ("seed: true", "seed is invalid: expected an integer, got True"),
+        ("seed: '12'", "seed is invalid: expected an integer, got '12'"),
+        ("seed: -3", "seed must be >= 0, got -3"),
+        ("importance_repeats: 4.5", "importance_repeats is invalid: expected an integer, got 4.5"),
+        ("val_size: 100.7", "val_size is invalid: expected an integer, got 100.7"),
+        ("val_size: false", "val_size is invalid: expected an integer, got False"),
         ("gazetteer: 5", "gazetteer must be a path string, got int"),
         ("stores: {triples: 5}", "triples store must be a path string, got int"),
         ("out_dir: [1]", "out_dir must be a path string, got list"),

@@ -1,12 +1,16 @@
 """Evaluation harness: labels, metrics, cost ledger, importance, reports."""
 
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
 from conftest import outcome_record
-from ragate.core import RunReport
+from ragate.cli import main
+from ragate.core import RunReport, answer_outcomes
 from ragate.evalgate import (
     CostModel,
     LengthMismatch,
@@ -19,6 +23,7 @@ from ragate.evalgate import (
     ideal_decisions,
     in_accuracy_metric,
     label_need_retrieval,
+    load_labelled_table,
     permutation_importance,
     render_report,
     standard_reports,
@@ -26,9 +31,11 @@ from ragate.evalgate import (
 from ragate.evalgate import LabeledOutcome
 from ragate.features import FeatureSchema, FeatureVector, SchemaMismatch
 from ragate.tabular.base import TabularDataset
-from ragate.tabular.protocol import GateModel
+from ragate.tabular.protocol import GateModel, load_gate
 from ragate.tabular.scaler import Scaler
 from ragate.tabular.voting import VotingModel
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
 class Fixed:
@@ -302,6 +309,70 @@ class TestPermutationImportance:
         assert baseline == 1.0
         scores = permutation_importance(ColumnGate(), data, metric, repeats=10, seed=1)
         assert scores[0] > 0.2
+
+
+def reference_permutation_importance(model, data, metric, repeats=20, seed=0):
+    """permutation_importance as it was when it scored one shuffled copy per
+    metric call, kept verbatim as the reference."""
+    names = getattr(model, "feature_names", None)
+    if names is not None and tuple(names) != tuple(data.feature_names):
+        raise SchemaMismatch("model feature names do not match the data")
+    if repeats < 0:
+        raise ValueError("repeats must be >= 0")
+    rng = np.random.default_rng(seed)
+    n, d = data.X.shape
+    baseline = float(metric(model, data.X))
+    scores = np.zeros(d)
+    for j in range(d):
+        drop = 0.0
+        for _ in range(repeats):
+            shuffled = data.X.copy()
+            shuffled[:, j] = shuffled[rng.permutation(n), j]
+            drop += baseline - float(metric(model, shuffled))
+        scores[j] = drop / repeats if repeats else 0.0
+    return scores
+
+
+@pytest.fixture(scope="module")
+def knn_gate_world(tmp_path_factory):
+    """A logreg + knn gate trained on a seed-7 synthetic world, with its eval
+    records and table (30 rows: not a whole number of blocks)."""
+    world = tmp_path_factory.mktemp("seed7")
+    subprocess.run([sys.executable, os.path.join(ROOT, "scripts", "make_synthetic.py"), "--out", str(world),
+                    "--seed", "7", "--n-train", "120", "--n-eval", "30"],
+                   env={**os.environ, "PYTHONPATH": os.path.join(ROOT, "src")}, check=True, capture_output=True)
+    (world / "grids.yaml").write_text("logreg: {C: [1.0]}\nknn: {n_neighbors: [5], weights: [distance]}\n",
+                                      encoding="utf-8")
+    config = str(world / "config.yaml")
+    for split in ("train", "eval"):
+        assert main(["extract", "--config", config, "--dataset", str(world / f"{split}.jsonl"),
+                     "--out", str(world / split)]) == 0
+    assert main(["train", "--config", config, "--dataset", str(world / "train.jsonl"),
+                 "--features", str(world / "train" / "features.tsv"), "--out", str(world)]) == 0
+    gate = load_gate(str(world / "model.json"))
+    records, data, _ = load_labelled_table(str(world / "eval.jsonl"), str(world / "eval" / "features.tsv"))
+    return gate, records, data
+
+
+class TestImportanceMatchesReference:
+    def test_logreg_knn_gate(self, knn_gate_world):
+        gate, records, data = knn_gate_world
+        assert gate.voting.families == ("logreg", "knn")
+        # The mean score moves with every score's bits, not only with decisions.
+        for metric in (in_accuracy_metric(*answer_outcomes(records)), lambda m, X: float(np.mean(m.predict_proba(X)))):
+            for repeats, seed in ((3, 7), (1, 0), (0, 2)):
+                expected = reference_permutation_importance(gate, data, metric, repeats, seed)
+                assert np.array_equal(permutation_importance(gate, data, metric, repeats, seed), expected)
+
+    def test_column_gate_takes_the_default_path(self):
+        rng = np.random.default_rng(4)
+        X = np.round(rng.normal(size=(45, 6)), 1)
+        y = (X[:, 0] > 0).astype(int)
+        data = TabularDataset(X, y, tuple(f"f{j}" for j in range(6)))
+        assert not hasattr(ColumnGate(), "permuted_proba")
+        for metric in (accuracy_metric(y), in_accuracy_metric(~y.astype(bool), y.astype(bool))):
+            expected = reference_permutation_importance(ColumnGate(), data, metric, 4, 9)
+            assert np.array_equal(permutation_importance(ColumnGate(), data, metric, 4, 9), expected)
 
 
 class TestMetricFactories:

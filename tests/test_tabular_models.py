@@ -7,7 +7,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ragate.tabular import (
@@ -30,7 +30,7 @@ from ragate.tabular import (
 from ragate.tabular.base import balanced_class_weights, check_two_classes, resolve_sample_weights
 from ragate.tabular.linear import loss_and_grad
 from ragate.tabular.mlp import layer_shapes, pack_params, unpack_params
-from ragate.tabular.neighbors import _BLOCK, _block_distances
+from ragate.tabular.neighbors import _BLOCK, _PERMUTED_BLOCK, _block_distances
 from ragate.tabular.trees import Tree, _best_split, _impurity, _random_split, laplace_leaf, resolve_max_features
 
 
@@ -271,6 +271,64 @@ class TestKNN:
                 model = KNNModel(n_neighbors=k, metric=metric, weights=weights).fit(train_X, train_y)
                 expected = knn_broadcast_reference(train_X, train_y, X, k, metric, weights)
                 assert np.array_equal(model.predict_proba(X), expected)
+
+
+def stacked_shuffle_proba(model, X, perms):
+    """``predict_proba`` of each copy of X whose column j is reordered by perms[j, r], stacked."""
+    out = np.empty(perms.shape)
+    for j in range(perms.shape[0]):
+        for r in range(perms.shape[1]):
+            copy = X.copy()
+            copy[:, j] = X[perms[j, r], j]
+            out[j, r] = model.predict_proba(copy)
+    return out
+
+
+class TestKNNPermuted:
+    # Feature counts reach every branch of _pairwise_sum: under 8 terms, 8-128
+    # with and without a tail, and over 128; row counts span several blocks.
+    @settings(max_examples=150, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        d=st.one_of(st.integers(1, 150), st.sampled_from([1, 7, 8, 9, 16, 17, 28, 127, 128, 129, 136, 144, 150])),
+        m=st.integers(1, 30),
+        n=st.integers(0, 3 * _PERMUTED_BLOCK + 1),
+        repeats=st.integers(0, 3),
+        k_frac=st.floats(0.0, 1.0),
+        integer=st.booleans(),
+        metric=st.sampled_from(["euclidean", "manhattan"]),
+        weights=st.sampled_from(["uniform", "distance"]),
+    )
+    @example(seed=1, d=7, m=9, n=_PERMUTED_BLOCK + 1, repeats=3, k_frac=1.0, integer=True, metric="euclidean",
+             weights="distance")
+    @example(seed=2, d=16, m=12, n=2 * _PERMUTED_BLOCK - 1, repeats=2, k_frac=0.5, integer=True, metric="manhattan",
+             weights="uniform")
+    @example(seed=3, d=28, m=20, n=3 * _PERMUTED_BLOCK + 1, repeats=3, k_frac=0.2, integer=False,
+             metric="euclidean", weights="distance")
+    @example(seed=4, d=150, m=10, n=_PERMUTED_BLOCK + 3, repeats=1, k_frac=0.0, integer=True, metric="manhattan",
+             weights="distance")
+    def test_bit_equal_to_scoring_each_shuffled_copy(self, seed, d, m, n, repeats, k_frac, integer, metric, weights):
+        rng = np.random.default_rng(seed)
+        if integer:
+            # Few distinct values: many equal distances and exact matches.
+            train_X = rng.integers(-2, 3, size=(m, d)).astype(np.float64)
+            X = rng.integers(-2, 3, size=(n, d)).astype(np.float64)
+        else:
+            train_X = rng.normal(size=(m, d)) * rng.uniform(0.01, 100.0, size=d)
+            X = rng.normal(size=(n, d)) * rng.uniform(0.01, 100.0, size=d)
+        dups = rng.integers(0, m, size=m // 3)  # duplicated training rows
+        train_X[rng.permutation(m)[: dups.size]] = train_X[dups]
+        copied = rng.integers(0, min(n, m) + 1)  # queries at distance zero
+        X[:copied] = train_X[rng.permutation(m)[:copied]]
+        train_y = rng.integers(0, 2, size=m)
+        k = 1 + int(k_frac * (m - 1))
+        model = KNNModel(n_neighbors=k, metric=metric, weights=weights).fit(train_X, train_y)
+        perms = np.empty((d, repeats, n), dtype=np.intp)
+        for j, r in np.ndindex(d, repeats):
+            perms[j, r] = rng.permutation(n)
+        got = model.permuted_proba(X, perms)
+        assert got.shape == (d, repeats, n)
+        assert np.array_equal(got, stacked_shuffle_proba(model, X, perms))
 
 
 def block_distances(A, B, metric):
