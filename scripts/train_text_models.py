@@ -40,7 +40,7 @@ def main() -> None:
         model = train_text_classifier(corpus, config)
         path = os.path.join(args.out, f"{name}.json")
         save_text_classifier(model, path)
-        hits = sum(model.predict(text) == label for text, label in corpus)
+        hits = sum(model.class_names[model.predict_proba(text).argmax()] == label for text, label in corpus)
         print(f"{path}: {len(corpus)} rows, classes {model.class_names}, train acc {hits}/{len(corpus)}")
 
 

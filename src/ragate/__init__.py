@@ -6,71 +6,4 @@ context relevance) fed to a small tabular classifier, so no extra LLM call
 is spent on the routing decision itself.
 """
 
-from .core import (
-    EntityMention,
-    GateDecision,
-    QuestionRecord,
-    RunReport,
-    answer_is_correct,
-    load_dataset,
-    normalize_text,
-    save_dataset,
-    tokenize,
-)
-from .features import (
-    COMPLEXITY_CLASSES,
-    FEATURE_GROUPS,
-    QTYPE_CLASSES,
-    FeatureSchema,
-    FeatureVector,
-    ModelSet,
-    StoreSet,
-    default_schema,
-    extract_all,
-)
-from .evalgate import (
-    CostModel,
-    MethodCost,
-    decide,
-    evaluate_method,
-    flops_upper_bound,
-    label_need_retrieval,
-    render_report,
-    standard_reports,
-)
-from .tabular import GateModel, end_to_end_train, load_gate, save_gate
-
 __version__ = "0.1.0"
-
-__all__ = [
-    "COMPLEXITY_CLASSES",
-    "CostModel",
-    "EntityMention",
-    "FEATURE_GROUPS",
-    "FeatureSchema",
-    "FeatureVector",
-    "GateDecision",
-    "GateModel",
-    "MethodCost",
-    "ModelSet",
-    "QTYPE_CLASSES",
-    "QuestionRecord",
-    "RunReport",
-    "StoreSet",
-    "answer_is_correct",
-    "decide",
-    "default_schema",
-    "end_to_end_train",
-    "evaluate_method",
-    "extract_all",
-    "flops_upper_bound",
-    "label_need_retrieval",
-    "load_dataset",
-    "load_gate",
-    "normalize_text",
-    "render_report",
-    "save_dataset",
-    "save_gate",
-    "standard_reports",
-    "tokenize",
-]

@@ -24,9 +24,10 @@ from .evalgate import (
 from .features import (
     FeatureSchema, ModelMissing, SchemaMismatch, check_table_ids, extract_all, extract_matrix, write_features_tsv,
 )
-from .features import read_features_tsv  # noqa: F401 - callers import the table I/O from here
+from .features import read_features_tsv  # noqa: F401 - bench/run.py, test_bench.py and traced.py import it from here
 from .stores import STORE_KINDS
-from .tabular import end_to_end_train, load_gate, load_grids, write_training_files
+from .tabular.grids import load_grids
+from .tabular.protocol import end_to_end_train, load_gate, write_training_files
 
 _CLI_ERRORS = (RagateError, ValueError, OSError)
 

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import contextlib
+import math
 import os
 from dataclasses import dataclass, field
 
@@ -13,10 +15,6 @@ from .features import DEFAULT_CONTEXT_NORM, FeatureSchema, ModelSet, StoreSet, d
 from .linker import build_gazetteer, load_entity_sidecar
 from .stores import STORE_KINDS, load_store
 from .textclf import TextClfConfig, load_text_classifier, load_toy_corpus, train_text_classifier
-
-__all__ = [
-    "ConfigError", "RunConfig", "check_seed", "check_threshold", "load_config", "build_schema", "load_stores", "load_models",
-]
 
 BUILTIN_MODEL = "builtin"
 
@@ -111,12 +109,20 @@ def _path_string(value, what: str) -> str:
     return value
 
 
+def _number(value, key: str, finite: bool = False) -> float:
+    """``value`` as a float. It must be an int or a float, and finite when
+    ``finite``; a bool, a string, an int beyond the float range or any other
+    value raises ConfigError."""
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
+        with contextlib.suppress(OverflowError):
+            number = float(value)
+            if not finite or math.isfinite(number):
+                return number
+    raise ConfigError(f"{key} is invalid: expected a {'finite ' * finite}number, got {value!r}")
+
+
 def _float(section: dict, key: str, default: float) -> float:
-    """``float(section[key])``; ConfigError if it does not convert."""
-    try:
-        return float(section.get(key, default))
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise ConfigError(f"{key} is invalid: {exc}") from exc
+    return _number(section.get(key, default), key)
 
 
 def _integer(section: dict, key: str, default: int) -> int:
@@ -194,26 +200,29 @@ def load_config(path) -> RunConfig:
     references = []
     for i, row in enumerate(raw_references):
         try:
-            references.append(
-                RunReport(
-                    method_name=str(row["method"]),
-                    in_accuracy=float(row["in_accuracy"]),
-                    lm_calls=float(row["lm_calls"]),
-                    retrieval_calls=float(row["retrieval_calls"]),
-                    mean_pflops=float(row["mean_pflops"]),
-                )
-            )
-        except (KeyError, TypeError, ValueError, OverflowError) as exc:
+            numbers = {
+                name: _number(row[name], f"references[{i}].{name}", finite=True)
+                for name in ("in_accuracy", "lm_calls", "retrieval_calls", "mean_pflops")
+            }
+            references.append(RunReport(method_name=str(row["method"]), **numbers))
+        except (KeyError, TypeError, ValueError) as exc:
             raise ConfigError(f"references[{i}] is invalid: {exc}") from exc
 
     cost_raw = _mapping(raw, "cost_model")
     unknown_costs = set(cost_raw) - {"default", "methods"}
     if unknown_costs:
         raise ConfigError(f"unknown cost_model entries: {sorted(unknown_costs, key=str)}")
-    for key in ("default", "methods"):
-        _mapping(cost_raw, key)
+
+    def costs(section: dict, key, where: str) -> dict:
+        """The entries of ``section[key]``, each a finite number."""
+        return {name: _number(v, f"{where}.{key}.{name}", finite=True) for name, v in _mapping(section, key).items()}
+
+    methods = _mapping(cost_raw, "methods")
     try:
-        cost_model = CostModel.from_config(cost_raw)
+        cost_model = CostModel.from_config({
+            "default": costs(cost_raw, "default", "cost_model"),
+            "methods": {name: costs(methods, name, "cost_model.methods") for name in methods},
+        })
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"cost_model is invalid: {exc}") from exc
 

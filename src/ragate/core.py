@@ -14,27 +14,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-__all__ = [
-    "RagateError",
-    "DatasetError",
-    "MalformedRecord",
-    "DuplicateId",
-    "QuestionRecord",
-    "EntityMention",
-    "GateDecision",
-    "RunReport",
-    "normalize_text",
-    "tokenize",
-    "answer_is_correct",
-    "LabeledOutcome",
-    "answer_outcomes",
-    "in_accuracy",
-    "decode_json",
-    "parse_question",
-    "load_dataset",
-    "save_dataset",
-]
-
 
 class RagateError(Exception):
     """Base class of every error this package raises for bad input: the CLI

@@ -23,28 +23,6 @@ from .features import FeatureVector, SchemaMismatch, read_features_tsv
 from .tabular.base import TabularDataset, permuted_proba, shuffled
 from .tabular.protocol import GateModel
 
-__all__ = [
-    "LengthMismatch",
-    "MethodCost",
-    "CostModel",
-    "LabeledOutcome",
-    "label_need_retrieval",
-    "load_labelled_table",
-    "decide",
-    "response_line",
-    "error_line",
-    "evaluate_method",
-    "ideal_decisions",
-    "standard_reports",
-    "flops_upper_bound",
-    "permutation_importance",
-    "in_accuracy_metric",
-    "accuracy_metric",
-    "correlation_matrix",
-    "render_report",
-    "write_evaluation",
-]
-
 DEFAULT_THRESHOLD = 0.5
 
 

@@ -21,35 +21,6 @@ from .linker import Gazetteer, link, sidecar_mentions
 from .stores import FrequencyStore, KeyedStore, KnowledgabilityStore, PopularityStore, TripleCountStore
 from .textclf import TextClassifier, relevance_score
 
-__all__ = [
-    "ModelMissing",
-    "SchemaMismatch",
-    "QTYPE_CLASSES",
-    "COMPLEXITY_CLASSES",
-    "FEATURE_GROUPS",
-    "DEFAULT_CONTEXT_NORM",
-    "Aggregates",
-    "aggregate",
-    "FeatureSchema",
-    "default_schema",
-    "FeatureVector",
-    "StoreSet",
-    "ModelSet",
-    "collect_mentions",
-    "graph_features",
-    "popularity_features",
-    "frequency_features",
-    "knowledgability_features",
-    "question_type_features",
-    "complexity_feature",
-    "context_relevance_features",
-    "extract_all",
-    "extract_matrix",
-    "check_table_ids",
-    "read_features_tsv",
-    "write_features_tsv",
-]
-
 
 class ModelMissing(RagateError):
     """A feature needs a store/model/override that was not provided."""
@@ -264,9 +235,6 @@ class FeatureVector:
                 raise ValueError(f"question-type block must sum to 1, got {total}")
         arr.setflags(write=False)
         object.__setattr__(self, "values", arr)
-
-    def as_dict(self) -> dict[str, float]:
-        return {name: float(v) for name, v in zip(self.schema.names, self.values)}
 
     def __len__(self) -> int:
         return len(self.schema)

@@ -14,8 +14,6 @@ from dataclasses import dataclass
 from .core import EntityMention, normalize_text
 from .stores import MalformedRow, PopularityStore, read_rows
 
-__all__ = ["Gazetteer", "build_gazetteer", "link", "load_entity_sidecar", "sidecar_mentions"]
-
 
 @dataclass(frozen=True)
 class Gazetteer:

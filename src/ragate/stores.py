@@ -14,22 +14,6 @@ from dataclasses import dataclass
 
 from .core import RagateError
 
-__all__ = [
-    "StoreError",
-    "MalformedRow",
-    "DuplicateKey",
-    "MissingHeader",
-    "KeyedStore",
-    "TripleCountStore",
-    "PopularityStore",
-    "FrequencyStore",
-    "KnowledgabilityStore",
-    "STORE_KINDS",
-    "read_rows",
-    "load_store",
-    "TOTAL_TOKENS_KEY",
-]
-
 TOTAL_TOKENS_KEY = "__total__"
 # Every integer up to 2**53 converts to a float64 exactly; a larger count
 # would make the log1p features overflow or round.

@@ -36,9 +36,11 @@ that rule and the tie rule exist once.
 whose column j is reordered by ``perms[j, r]``, as permutation importance
 asks, without computing any copy's distances from scratch. Replacing
 column j of a row changes only term j of its distance sum, and
-``_pairwise_sum`` is a fixed tree of additions (``_sum_tree``). So for each
-block of ``_PERMUTED_BLOCK`` rows the terms and every partial sum of that
-tree are computed once. Then, for each column, the new term j of every
+``_pairwise_sum`` is a fixed tree of additions. ``_sum_tree`` finds that
+tree by running ``_pairwise_sum`` itself on operands that record each
+addition, so the summation order is written only once. For each block of
+``_PERMUTED_BLOCK`` rows the terms and every partial sum of that tree are
+computed once. Then, for each column, the new term j of every
 repeat goes up the path from leaf j to the total, adding at each step the
 cached operand beside it. Each of those additions is the one
 ``_pairwise_sum`` makes for the shuffled copy, on the same two operands
@@ -73,7 +75,7 @@ def _pairwise_sum(a: np.ndarray) -> np.ndarray:
     """Sum a (rows, n, cols) array over axis 1 in numpy's pairwise order."""
     n = a.shape[1]
     if n < 8:
-        res = np.zeros((a.shape[0], a.shape[2]))
+        res = np.zeros((a.shape[0], a.shape[2]), dtype=a.dtype)
         for j in range(n):
             res += a[:, j]
         return res
@@ -99,38 +101,29 @@ def _pairwise_sum(a: np.ndarray) -> np.ndarray:
 
 def _sum_tree(n: int) -> tuple[list[tuple[int, int]], list[list[int]]]:
     """The additions ``_pairwise_sum`` makes over n terms, and each term's way
-    to the total.
+    to the total, found by running ``_pairwise_sum`` on operands that record
+    each addition.
 
-    The additions are pairs of operand ids, in ``_pairwise_sum``'s order: id
-    i < n is term i, id n is the 0.0 a short sum starts from, and id n + 1 + p
+    The additions are pairs of operand ids, in the order they are made: id
+    i < n is term i, id n is the 0 a short sum starts from, and id n + 1 + p
     is the sum made by pair p; the last pair makes the total. ``paths[j]``
     lists the operands added, one by one, to term j on its way to the total.
     """
     pairs: list[tuple[int, int]] = []
 
-    def add(a: int, b: int) -> int:
-        pairs.append((a, b))
-        return n + len(pairs)
+    class Operand:
+        def __init__(self, id: int):
+            self.id = id
 
-    def chain(acc: int, ids) -> int:
-        for i in ids:
-            acc = add(acc, i)
-        return acc
+        def __add__(self, other: "Operand") -> "Operand":
+            pairs.append((self.id, other.id))
+            return Operand(n + len(pairs))
 
-    def build(lo: int, hi: int) -> int:
-        size = hi - lo
-        if size < 8:
-            return chain(n, range(lo, hi))
-        if size <= 128:
-            stop = hi - size % 8
-            r = [chain(lo + c, range(lo + c + 8, stop, 8)) for c in range(8)]
-            head = add(add(add(r[0], r[1]), add(r[2], r[3])), add(add(r[4], r[5]), add(r[6], r[7])))
-            return chain(head, range(stop, hi))
-        half = size // 2
-        half -= half % 8
-        return add(build(lo, lo + half), build(lo + half, hi))
+        def __radd__(self, zero: int) -> "Operand":
+            return Operand(n) + self
 
-    build(0, n)
+    _pairwise_sum(np.array([Operand(i) for i in range(n)], dtype=object).reshape(1, n, 1))
+
     up = {}  # operand id -> (id of the sum it goes into, the other operand)
     for p, (a, b) in enumerate(pairs):
         up[a] = (n + 1 + p, b)

@@ -31,19 +31,6 @@ import numpy as np
 from .core import RagateError, decode_json, tokenize
 from .stores import read_rows
 
-__all__ = [
-    "DegenerateCorpus",
-    "TextClfConfig",
-    "TextClassifier",
-    "train_text_classifier",
-    "relevance_score",
-    "softmax_loss_and_grad",
-    "save_text_classifier",
-    "load_text_classifier",
-    "read_corpus",
-    "load_toy_corpus",
-]
-
 DEFAULT_DIM = 1 << 16
 _BIGRAM_SEP = "\x1f"
 
@@ -142,9 +129,6 @@ class TextClassifier:
         scale = np.array([counts[col] for col in hits], dtype=np.float64)
         logits = _product(np.zeros_like(rows), rows, scale, self.weights, 1) + self.bias
         return _softmax(logits)[0]
-
-    def predict(self, text: str) -> str:
-        return self.class_names[int(np.argmax(self.predict_proba(text)))]
 
 
 def train_text_classifier(corpus: list[tuple[str, str]], config: TextClfConfig = TextClfConfig()) -> TextClassifier:

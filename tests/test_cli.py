@@ -13,10 +13,10 @@ import yaml
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from ragate.cli import _parse_request, main, read_features_tsv, write_features_tsv
+from ragate.cli import _parse_request, main
 from ragate.config import _TOP_LEVEL_KEYS, ConfigError, load_config
 from ragate.core import DatasetError, load_dataset
-from ragate.features import default_schema
+from ragate.features import default_schema, read_features_tsv, write_features_tsv
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 MAKE_SYNTHETIC = os.path.join(ROOT, "scripts", "make_synthetic.py")
@@ -731,6 +731,20 @@ def test_integral_config_values_load_as_integers(tmp_path):
     assert type(loaded.seed) is int
 
 
+def test_real_config_values_load_as_floats(tmp_path):
+    config = tmp_path / "config.yaml"
+    config.write_text(
+        "threshold: 1\nfeatures: {context_norm: 300}\ncost_model: {methods: {gate: {ue_llm_calls_per_question: 2}}}\n"
+        "references: [{method: a, in_accuracy: 1, lm_calls: 2, retrieval_calls: 0, mean_pflops: 0.5}]\n",
+        encoding="utf-8",
+    )
+    loaded = load_config(str(config))
+    values = (loaded.threshold, loaded.context_norm, loaded.cost_model.methods["gate"].ue_llm_calls_per_question,
+              loaded.references[0].in_accuracy, loaded.references[0].lm_calls)
+    assert values == (1.0, 300.0, 2.0, 1.0, 2.0)
+    assert all(type(v) is float for v in values)
+
+
 @pytest.mark.parametrize("n_train", ["40", "119"])
 def test_make_synthetic_refuses_a_world_that_cannot_train(tmp_path, n_train):
     out = tmp_path / "world"
@@ -916,6 +930,20 @@ JSON_VALUES = st.recursive(
         ("features: {override_features: [popularity_min]}", "feature names must be unique"),
         ("references: 3", "references must be a list, got int"),
         ("threshold: [1]", "threshold is invalid"),
+        ("threshold: true", "threshold is invalid: expected a number, got True"),
+        ("threshold: '0.7'", "threshold is invalid: expected a number, got '0.7'"),
+        ("features: {context_norm: '1e3'}", "context_norm is invalid: expected a number, got '1e3'"),
+        ("features: {context_norm: true}", "context_norm is invalid: expected a number, got True"),
+        ("cost_model: {default: {pflops_per_llm_call: true}}",
+         "cost_model.default.pflops_per_llm_call is invalid: expected a finite number, got True"),
+        ("cost_model: {default: {pflops_per_llm_call: .nan}}",
+         "cost_model.default.pflops_per_llm_call is invalid: expected a finite number, got nan"),
+        ("cost_model: {methods: {gate: {ue_llm_calls_per_question: .inf}}}",
+         "cost_model.methods.gate.ue_llm_calls_per_question is invalid: expected a finite number, got inf"),
+        ("references: [{method: a, in_accuracy: '1', lm_calls: 1, retrieval_calls: 1, mean_pflops: 0.1}]",
+         "references[0].in_accuracy is invalid: expected a finite number, got '1'"),
+        ("references: [{method: a, in_accuracy: 0.5, lm_calls: true, retrieval_calls: 1, mean_pflops: 0.1}]",
+         "references[0].lm_calls is invalid: expected a finite number, got True"),
         ("seed: .inf", "seed is invalid"),
         ("seed: 7.9", "seed is invalid: expected an integer, got 7.9"),
         ("seed: true", "seed is invalid: expected an integer, got True"),

@@ -1,6 +1,10 @@
+import ast
 import importlib
+import importlib.util
 import json
 import pkgutil
+import re
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -256,3 +260,29 @@ def test_every_package_error_is_a_ragate_error():
                    if isinstance(obj, type) and issubclass(obj, Exception) and obj.__module__ == info.name]
     assert RagateError in errors and len(errors) >= 16
     assert [cls.__qualname__ for cls in errors if not issubclass(cls, RagateError)] == []
+
+
+def outside_imports():
+    """(file, module, names) of each ``from ragate... import ...`` in README's
+    Python code blocks, bench/*.py and scripts/*.py: code this suite does not
+    import, so a name dropped from a module would otherwise go unnoticed."""
+    repo = Path(__file__).resolve().parent.parent
+    readme = (repo / "README.md").read_text(encoding="utf-8")
+    sources = [("README.md", block) for block in re.findall(r"```python\n(.*?)```", readme, re.S)]
+    sources += [(path.name, path.read_text(encoding="utf-8")) for path in sorted(repo.glob("bench/*.py"))]
+    sources += [(path.name, path.read_text(encoding="utf-8")) for path in sorted(repo.glob("scripts/*.py"))]
+    for where, source in sources:
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, ast.ImportFrom) and node.module and node.module.split(".")[0] == "ragate":
+                yield where, node.module, [alias.name for alias in node.names]
+
+
+def test_outside_imports_resolve():
+    found = list(outside_imports())
+    assert {"README.md", "traced.py", "run.py", "test_bench.py", "make_synthetic.py"} <= {where for where, _, _ in found}
+    for where, module, names in found:
+        mod = importlib.import_module(module)
+        for name in names:
+            # A name is an attribute of the module, or a submodule of a package.
+            submodule = hasattr(mod, "__path__") and importlib.util.find_spec(f"{module}.{name}") is not None
+            assert hasattr(mod, name) or submodule, (where, module, name)

@@ -10,7 +10,7 @@ import pytest
 
 from conftest import outcome_record
 from ragate.cli import main
-from ragate.core import RunReport, answer_outcomes
+from ragate.core import LabeledOutcome, RunReport, answer_outcomes
 from ragate.evalgate import (
     CostModel,
     LengthMismatch,
@@ -28,7 +28,6 @@ from ragate.evalgate import (
     render_report,
     standard_reports,
 )
-from ragate.evalgate import LabeledOutcome
 from ragate.features import FeatureSchema, FeatureVector, SchemaMismatch
 from ragate.tabular.base import TabularDataset
 from ragate.tabular.protocol import GateModel, load_gate

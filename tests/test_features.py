@@ -373,7 +373,7 @@ class TestExtractAll:
         schema = default_schema()
         record = make_record(question=QUESTION, overrides={"popularity_mean": 0.123})
         vector = extract_all(record, self.full_setup(), toy_models, schema)
-        assert vector.as_dict()["popularity_mean"] == 0.123
+        assert dict(zip(vector.schema.names, vector.values))["popularity_mean"] == 0.123
 
     def test_unknown_override_rejected(self, toy_models):
         record = make_record(question=QUESTION, overrides={"no_such_feature": 1.0})
@@ -390,7 +390,7 @@ class TestExtractAll:
         stores = make_stores(**{**STORES, "knowledgability": None})
         record = make_record(question=QUESTION, overrides={"knowledgability_mean": 0.5})
         vector = extract_all(record, stores, toy_models, default_schema())
-        assert vector.as_dict()["knowledgability_mean"] == 0.5
+        assert dict(zip(vector.schema.names, vector.values))["knowledgability_mean"] == 0.5
 
     def test_missing_store_ok_when_group_not_in_schema(self, toy_models):
         stores = make_stores(**{**STORES, "triples": None})
@@ -404,7 +404,7 @@ class TestExtractAll:
             extract_all(make_record(question=QUESTION), self.full_setup(), toy_models, schema)
         record = make_record(question=QUESTION, overrides={"ue_entropy": 0.7})
         vector = extract_all(record, self.full_setup(), toy_models, schema)
-        assert vector.as_dict()["ue_entropy"] == 0.7
+        assert dict(zip(vector.schema.names, vector.values))["ue_entropy"] == 0.7
 
     def test_every_swappable_name_is_called(self, toy_models, monkeypatch):
         # Timing tools swap these module attributes and store methods, so
@@ -461,7 +461,7 @@ class TestExtractAll:
         )
         record = make_record(question=question, contexts=contexts)
         vector = extract_all(record, stores, toy_models, default_schema())
-        d = vector.as_dict()
+        d = dict(zip(vector.schema.names, vector.values))
         assert all(np.isfinite(v) for v in d.values())
         qtype_sum = sum(v for k, v in d.items() if k.startswith("qtype_"))
         assert qtype_sum == pytest.approx(1.0, abs=1e-6)

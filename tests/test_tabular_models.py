@@ -10,28 +10,19 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from ragate.tabular import (
-    FAMILY_CLASSES,
-    DegenerateData,
-    DecisionTreeModel,
-    GradientBoostingModel,
-    InvalidHyperparameter,
-    KNNModel,
-    LogisticRegressionModel,
-    MLPModel,
-    RandomForestModel,
-    TabularDataset,
-    VotingModel,
-    grow_tree,
-    logistic_loss,
-    mlp_loss_and_grad,
-    tree_predict,
+from ragate.tabular.base import (
+    DegenerateData, InvalidHyperparameter, TabularDataset, balanced_class_weights, check_two_classes, resolve_sample_weights,
 )
-from ragate.tabular.base import balanced_class_weights, check_two_classes, resolve_sample_weights
-from ragate.tabular.linear import loss_and_grad
-from ragate.tabular.mlp import layer_shapes, pack_params, unpack_params
-from ragate.tabular.neighbors import _BLOCK, _PERMUTED_BLOCK, _block_distances
-from ragate.tabular.trees import Tree, _best_split, _impurity, _random_split, laplace_leaf, resolve_max_features
+from ragate.tabular.boosting import GradientBoostingModel, logistic_loss
+from ragate.tabular.forest import RandomForestModel
+from ragate.tabular.grids import FAMILY_CLASSES
+from ragate.tabular.linear import LogisticRegressionModel, loss_and_grad
+from ragate.tabular.mlp import MLPModel, layer_shapes, mlp_loss_and_grad, pack_params, unpack_params
+from ragate.tabular.neighbors import _BLOCK, _PERMUTED_BLOCK, KNNModel, _block_distances, _pairwise_sum, _sum_tree
+from ragate.tabular.trees import (
+    DecisionTreeModel, Tree, _best_split, _impurity, _random_split, grow_tree, laplace_leaf, resolve_max_features, tree_predict,
+)
+from ragate.tabular.voting import VotingModel
 
 
 def separable(n=80, d=4, seed=0, margin=1.0):
@@ -329,6 +320,23 @@ class TestKNNPermuted:
         got = model.permuted_proba(X, perms)
         assert got.shape == (d, repeats, n)
         assert np.array_equal(got, stacked_shuffle_proba(model, X, perms))
+
+    def test_traced_tree_is_pairwise_sum(self):
+        # Up to 300 terms: past 256, _pairwise_sum halves twice.
+        rng = np.random.default_rng(0)
+        for d in range(1, 301):
+            terms = rng.normal(size=(1, d, 8)) * rng.uniform(0.01, 100.0, size=(1, d, 1))
+            pairs, paths = _sum_tree(d)
+            sums = [*terms[0], 0.0]
+            for a, b in pairs:
+                sums.append(sums[a] + sums[b])
+            total = _pairwise_sum(terms)[0]
+            assert np.array_equal(sums[-1], total), d
+            for j, path in enumerate(paths):
+                acc = terms[0, j]
+                for other in path:
+                    acc = acc + sums[other]
+                assert np.array_equal(acc, total), (d, j)
 
 
 def block_distances(A, B, metric):
@@ -826,7 +834,8 @@ class TestArrayTreesMatchReference:
 class TestDeepTrees:
     @pytest.mark.parametrize("n", [1200, 5000])
     def test_staircase_fits_scores_and_round_trips(self, tmp_path, n):
-        from ragate.tabular import GateModel, fit_scaler, load_gate, save_gate
+        from ragate.tabular.protocol import GateModel, load_gate, save_gate
+        from ragate.tabular.scaler import fit_scaler
 
         X = np.arange(float(n))[:, None]
         y = np.arange(n) % 2

@@ -590,7 +590,9 @@ class TestGateArtifact:
 
 def _family_gates():
     """Artifacts of small fitted gates that together hold all six families."""
-    from ragate.tabular import GateModel, VotingModel, fit_scaler
+    from ragate.tabular.protocol import GateModel
+    from ragate.tabular.scaler import fit_scaler
+    from ragate.tabular.voting import VotingModel
 
     data, _ = planted_dataset(40, d=3, seed=2)
     params = {"knn": {"n_neighbors": 3}, "mlp": {"hidden_layer_sizes": [4], "max_iter": 5},
